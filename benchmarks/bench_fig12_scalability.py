@@ -1,40 +1,29 @@
-"""Fig. 12 — scalability of the embedding trainer and the serving fan-out.
+"""Fig. 12 — scalability of the embedding trainer.
 
 (a) running time vs. number of sampled edges (1x-4x, fixed workers):
     expected near-linear growth;
 (b) strong scaling: fixed samples, workers 1-4: expected speedup on
     multi-core hardware;
 (c) weak scaling: workers and samples grow together: expected sub-linear
-    wall-clock growth (flat in the paper's C++);
-(d) shard scaling: scatter-gather serve throughput, shard counts
-    K in {1, 2, 4, 8}: merged top-k must stay rank-identical to the
-    unsharded engine at every K (hard gate), and K=4 should out-serve
-    K=1 when real cores back the fan-out threads.  Results are emitted
-    to ``BENCH_shard_scaling.json``.
+    wall-clock growth (flat in the paper's C++).
 
 Parallelism uses the lock-free shared-memory process pool
 (:class:`repro.embedding.HogwildPool`), the honest NumPy equivalent of the
 paper's pthreads Hogwild.  Speedup is physically bounded by the machine:
-on a single-core host (CI containers!) 12b/12c/12d can only demonstrate
+on a single-core host (CI containers!) 12b/12c can only demonstrate
 bounded overhead, so those assertions are conditioned on the detected
 core count and the full series is always printed for the record.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import time
-from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro import Actor
-from repro.core import ActorConfig, QueryEngine
+from repro.core import ActorConfig
 from repro.eval import edges_scaling, format_table, strong_scaling, weak_scaling
 from repro.graphs import GraphBuilder
-from repro.sharding import ShardedQueryEngine
 
 from common import SEED
 
@@ -157,101 +146,3 @@ def test_fig12c_weak_scaling(benchmark, scale_built, scale_config):
         # Single core: growth is inherently serial; demand bounded overhead
         # over the serial projection.
         assert points[-1].seconds < 1.8 * serial_projection, points
-
-
-SHARD_COUNTS = (1, 2, 4, 8)
-SHARD_QUERIES = 200
-SHARD_MODALITIES = ("word", "time", "location", "user")
-
-
-@pytest.fixture(scope="module")
-def shard_model(datasets, scale_config):
-    return Actor(scale_config).fit(datasets["utgeo2011"].train)
-
-
-@pytest.mark.benchmark(group="fig12d-shards")
-def test_fig12d_shard_scaling(benchmark, shard_model):
-    """Scatter-gather serve throughput vs shard count, parity-gated."""
-    rng = np.random.default_rng(SEED)
-    baseline = QueryEngine(shard_model)
-    parity_queries = {
-        modality: rng.standard_normal((5, shard_model.dim))
-        for modality in SHARD_MODALITIES
-    }
-    reference = {
-        modality: [baseline.neighbors(q, modality, 10) for q in queries]
-        for modality, queries in parity_queries.items()
-    }
-    timed = rng.standard_normal((SHARD_QUERIES, shard_model.dim))
-
-    report: dict = {
-        "bench": "shard_scaling",
-        "n_cores": N_CORES,
-        "timed_queries": SHARD_QUERIES,
-        "k": 10,
-        "shards": {},
-    }
-    rows = []
-    for n_shards in SHARD_COUNTS:
-        engine = ShardedQueryEngine(shard_model, n_shards=n_shards)
-        # Every K must reproduce the unsharded ranking bit-exactly —
-        # this is the merge contract the serving fleet depends on, so
-        # it gates unconditionally (unlike the throughput shape below).
-        parity = all(
-            engine.neighbors(q, modality, 10) == reference[modality][i]
-            for modality, queries in parity_queries.items()
-            for i, q in enumerate(queries)
-        )
-        assert parity, f"K={n_shards} merged top-k diverges from unsharded"
-
-        engine.replicas_for("word")  # warm: time serving, not the build
-        start = time.perf_counter()
-        for q in timed:
-            engine.neighbors(q, "word", 10)
-        seconds = time.perf_counter() - start
-        qps = SHARD_QUERIES / seconds
-        report["shards"][str(n_shards)] = {
-            "qps": round(qps, 1),
-            "seconds": round(seconds, 4),
-            "scatter_threads": engine.scatter_threads,
-            "rank_parity": parity,
-        }
-        rows.append(
-            [n_shards, engine.scatter_threads, round(seconds, 4),
-             round(qps, 1), parity]
-        )
-    benchmark.pedantic(
-        lambda: ShardedQueryEngine(shard_model, n_shards=4).neighbors(
-            timed[0], "word", 10
-        ),
-        rounds=1,
-        iterations=1,
-    )
-
-    base_s = report["shards"]["1"]["seconds"]
-    quad_s = report["shards"]["4"]["seconds"]
-    speedup = base_s / quad_s
-    report["speedup_k4_vs_k1"] = round(speedup, 3)
-    report["throughput_gate"] = {
-        "required_speedup": 2.0,
-        "enforced": N_CORES >= 4,
-    }
-    out = Path("BENCH_shard_scaling.json")
-    out.write_text(json.dumps(report, indent=2) + "\n")
-
-    headers = ["shards", "threads", "seconds", "queries/s", "parity"]
-    print()
-    print(format_table(headers, rows, title="Fig. 12d — shard scaling"))
-    print(f"K=4 vs K=1 speedup: {speedup:.2f}x; wrote {out}")
-
-    print(f"(detected {N_CORES} usable cores)")
-    if N_CORES >= 4:
-        # A full thread per shard: demand the acceptance-target speedup.
-        assert speedup >= 2.0, report["shards"]
-    elif N_CORES >= 2:
-        # Partial parallelism: demand a real, if smaller, speedup.
-        assert speedup > 1.0, report["shards"]
-    else:
-        # Single core: the fan-out is serialized, so K=4 can only show
-        # bounded coordination overhead over the single-shard scan.
-        assert quad_s < 4.0 * base_s, report["shards"]

@@ -12,9 +12,6 @@ Usage (also available as ``python -m repro``)::
     repro query    --model model.pkl --time 22.0
     repro query    --model model.pkl --location 3.5,7.2
     repro export   --model model.pkl --out bundle/   # pickle-free bundle
-    repro export   --model model.pkl --out bundle/ --shards 4 \
-                   --fleet-size 2                    # sharded v3 bundle
-    repro serve    --model bundle/ --mmap --shards 4  # scatter-gather
     repro stream   --model model.pkl --corpus new.jsonl --metrics \
                    --checkpoint ckpt/               # online adaptation
     repro stream   --model model.pkl --corpus more.jsonl --resume ckpt/
@@ -148,12 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(POSIX shared memory; Hogwild threads train in place) or mmap "
         "(memory-mapped .npy files)",
     )
-    train.add_argument(
-        "--shards", type=int, default=1, metavar="K",
-        help="hash-partition the embedding store over K shards "
-        "(repro.sharding); per-shard training utilization lands in the "
-        "train.pool.shard_utilization.* gauges (default: 1 = unsharded)",
-    )
 
     ev = sub.add_parser(
         "evaluate", help="MRR over the three cross-modal prediction tasks"
@@ -214,18 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="overwrite an existing bundle at --out; without it, export "
         "refuses to rewrite a directory that already holds a bundle "
         "(see docs/operations.md §7 for migration semantics)",
-    )
-    export.add_argument(
-        "--shards", type=int, default=1, metavar="K",
-        help="write a format-v3 sharded bundle: the embedding matrices "
-        "are hash-partitioned into K per-shard sidecars a scatter-gather "
-        "server fans out over (default: 1 = plain v2 bundle)",
-    )
-    export.add_argument(
-        "--fleet-size", type=int, metavar="N",
-        help="number of serving replicas the bundle is destined for; "
-        "export refuses a --shards value that does not divide evenly "
-        "over the fleet (exit 2)",
     )
 
     stream = sub.add_parser(
@@ -290,12 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="dense",
         help="storage backend for the online embedding copies (shared "
         "lets forked processes serve the live model while it streams)",
-    )
-    stream.add_argument(
-        "--shards", type=int, default=1, metavar="K",
-        help="hash-partition the online embedding store over K shards; "
-        "with --publish-bundles the published bundles are sharded to "
-        "match (format v3; default: 1 = unsharded)",
     )
     stream.add_argument(
         "--publish-bundles", metavar="DIR",
@@ -370,13 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--ann-nprobe", type=int, default=8, metavar="N",
         help="lists probed per neighbor query (default: 8; nprobe == "
         "nlist is exact coverage — see docs/operations.md for tuning)",
-    )
-    serve.add_argument(
-        "--shards", type=int, default=0, metavar="K",
-        help="scatter-gather fan-out width for /v1/neighbors (0 = "
-        "auto: sharded format-v3 bundles fan out over their own shard "
-        "count, anything else serves unsharded); merged rankings are "
-        "bit-exact against the unsharded engine either way",
     )
     serve.add_argument(
         "--no-coalesce", action="store_true",
@@ -484,11 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--retain", type=int, default=8, metavar="N",
         help="keep at most N published epochs (pointer targets are never "
         "pruned; default: 8)",
-    )
-    promote.add_argument(
-        "--shards", type=int, default=1, metavar="K",
-        help="publish the epoch as a K-shard format-v3 bundle "
-        "(default: 1, plain format v2)",
     )
 
     rollback = sub.add_parser(
@@ -635,7 +596,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         use_intra_bow=not args.no_intra_bow,
         seed=args.seed,
         store_backend=args.store,
-        store_shards=args.shards,
     )
     telemetry_dir = getattr(args, "telemetry_dir", None)
     registry = (
@@ -671,8 +631,9 @@ def _load_model(path: str, *, mmap: bool = False):
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    # Accepts a bundle directory too, so v1 bundles migrate to the current
-    # format with one `repro export --model old/ --out new/` round trip.
+    # Accepts a bundle directory too, so v1 and legacy v3 bundles migrate to
+    # the current format with one `repro export --model old/ --out new/`
+    # round trip.
     out = Path(args.out)
     if (out / "manifest.json").exists() and not args.force:
         print(
@@ -687,14 +648,11 @@ def _cmd_export(args: argparse.Namespace) -> int:
         return 2
     model = _load_model(args.model)
     try:
-        save_bundle(model, out, shards=args.shards, fleet_size=args.fleet_size)
-    except ValueError as exc:
-        # e.g. a --shards value that doesn't divide the serving fleet —
-        # an argument problem, so argparse's exit code, not a traceback.
+        save_bundle(model, out)
+    except ValueError as exc:  # e.g. an unfitted model: exit 2, not a traceback
         print(str(exc), file=sys.stderr)
         return 2
-    shard_note = f" ({args.shards} shards)" if args.shards > 1 else ""
-    print(f"exported portable bundle to {args.out}{shard_note}")
+    print(f"exported portable bundle to {args.out}")
     return 0
 
 
@@ -824,7 +782,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             buffer_size=args.buffer_size,
             seed=args.seed,
             store_backend=args.store,
-            store_shards=args.shards,
         )
     tracer = None
     logger = None
@@ -881,7 +838,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
         publisher = BundlePublisher(
             args.publish_bundles,
-            shards=args.shards,
             retain=args.publish_retain,
             metrics=model.metrics,
             logger=logger,
@@ -998,7 +954,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ann=args.ann,
         ann_nlist=args.ann_nlist,
         ann_nprobe=args.ann_nprobe,
-        shards=args.shards,
         trace_requests=not args.no_request_trace,
         trace_ring_size=args.trace_ring_size,
         slow_request_ms=args.slow_request_ms,
@@ -1028,27 +983,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         manager.start()
     mode = "coalesced" if server.coalesce else "per-request"
-    n_shards = server.shards_for(model)
-    if n_shards > 1:
-        mode += f"; {n_shards}-shard scatter-gather"
     if args.ann:
         status = server.engine.ann_status()
-
-        def _index_note(modality: str, entry: dict) -> str:
-            if "shards" in entry:  # sharded: one IVF index per shard
-                rows = sum(s["rows"] for s in entry["shards"])
-                seconds = sum(s["build_seconds"] for s in entry["shards"])
-                return (
-                    f"{modality}: {rows} rows / "
-                    f"{len(entry['shards'])} shard indexes in {seconds:.3f}s"
-                )
-            return (
-                f"{modality}: {entry['rows']} rows / {entry['nlist']} "
-                f"lists in {entry['build_seconds']:.3f}s"
-            )
-
         built = ", ".join(
-            _index_note(m, s) for m, s in sorted(status["indexes"].items())
+            f"{m}: {s['rows']} rows / {s['nlist']} lists "
+            f"in {s['build_seconds']:.3f}s"
+            for m, s in sorted(status["indexes"].items())
         )
         mode += f"; ann nprobe={status['nprobe']} ({built})"
     if manager is not None:
@@ -1116,10 +1056,8 @@ def _cmd_promote(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     try:
-        publisher = BundlePublisher(
-            args.bundles, retain=args.retain, shards=args.shards
-        )
-    except ValueError as exc:
+        publisher = BundlePublisher(args.bundles, retain=args.retain)
+    except ValueError as exc:  # e.g. --retain 0: exit 2, not a traceback
         print(str(exc), file=sys.stderr)
         return 2
     path = publisher.publish(model, force=args.force)

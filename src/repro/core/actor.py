@@ -196,11 +196,7 @@ class Actor(GraphEmbeddingModel):
             # matrices for the old ones.
             store = self.__dict__.get("_store")
             if store is None:
-                store = make_store(
-                    cfg.store_backend,
-                    directory=cfg.store_dir,
-                    n_shards=cfg.store_shards,
-                )
+                store = make_store(cfg.store_backend, directory=cfg.store_dir)
                 self.adopt_store(store)
             store.set_matrix("center", center)
             store.set_matrix("context", context)

@@ -81,10 +81,6 @@ class ActorConfig:
         Directory for the ``mmap`` backend's ``.npy`` files; ``None``
         uses a private temp directory.  Only valid with
         ``store_backend="mmap"``.
-    store_shards:
-        Hash-partition the embedding matrices over this many child
-        stores of ``store_backend`` (see :mod:`repro.sharding`); ``1``
-        (default) keeps the single-shard layout.
     seed:
         Master seed for every stochastic stage.
     """
@@ -113,7 +109,6 @@ class ActorConfig:
     noise_power: float = 0.75
     store_backend: str = "dense"
     store_dir: str | None = None
-    store_shards: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -144,7 +139,6 @@ class ActorConfig:
                 "store_dir only applies to store_backend='mmap', "
                 f"got backend {self.store_backend!r}"
             )
-        check_positive("store_shards", self.store_shards)
         if self.inter_edge_types is not None:
             valid = {"UT", "UW", "UL"}
             unknown = set(self.inter_edge_types) - valid

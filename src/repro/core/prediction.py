@@ -452,8 +452,9 @@ class GraphEmbeddingModel:
         norm = np.linalg.norm(query)
         if norm > 0:
             # einsum, not gemv: per-row accumulation order is independent
-            # of row position, so a shard-local gather scores bit-equal
-            # to this full scan (the scatter-gather parity contract).
+            # of row position, so this full scan scores bit-equal to the
+            # IVF probe's einsum over gathered rows (the full-probe ANN
+            # equals exact contract the QueryEngine serves under).
             scores = np.einsum("nd,d->n", cache.normalized, query / norm)
         else:
             scores = np.zeros(cache.matrix.shape[0])

@@ -23,8 +23,8 @@ rows, and models larger than RAM serve fine.  Format **v1** bundles
 (compressed ``embeddings.npz``) still load — only eagerly, since zip
 members can't be mapped.
 
-Format **v3** (``save_bundle(..., shards=K)``) hash-partitions the
-matrices over per-shard sidecar directories::
+Format **v3** is read-only legacy: an earlier build could hash-partition
+the matrices over per-shard sidecar directories::
 
     bundle/
       manifest.json       format_version 3 + {"sharding": {...}}
@@ -33,11 +33,10 @@ matrices over per-shard sidecar directories::
       shards/01/...
       hotspots.npz nodes.json vocab.json   (as v2)
 
-Row placement is the deterministic splitmix64 vertex hash of
-:class:`~repro.sharding.HashPartitioner` — nothing but the shard count
-is recorded, and :func:`load_bundle` re-derives the layout and wraps the
-shards in a :class:`~repro.sharding.ShardedStore` (each shard
-memory-mapped read-only under ``mmap=True``).  Malformed bundles of any
+This build no longer writes v3.  :func:`load_bundle` re-derives each
+row's shard from the recorded shard count (the splitmix64 vertex hash)
+and scatters the sidecars back into one dense in-RAM matrix pair, so
+old bundles and published epochs keep serving.  Malformed bundles of any
 version raise :class:`BundleFormatError` naming the offending field and
 format version.
 
@@ -64,7 +63,7 @@ from repro.graphs.builder import BuiltGraphs
 from repro.graphs.interaction_graph import UserInteractionGraph
 from repro.graphs.types import NodeType
 from repro.hotspots.detector import HotspotDetector
-from repro.storage import DenseStore, EmbeddingStore, MmapStore
+from repro.storage import EmbeddingStore, MmapStore
 
 __all__ = [
     "save_bundle",
@@ -72,7 +71,6 @@ __all__ = [
     "QueryModel",
     "BundleFormatError",
     "FORMAT_VERSION",
-    "SHARDED_FORMAT_VERSION",
     "SUPPORTED_FORMAT_VERSIONS",
     "save_online_checkpoint",
     "load_online_checkpoint",
@@ -80,7 +78,6 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 2
-SHARDED_FORMAT_VERSION = 3
 SUPPORTED_FORMAT_VERSIONS = (1, 2, 3)
 ONLINE_FORMAT_VERSION = 2
 SUPPORTED_ONLINE_FORMAT_VERSIONS = (1, 2)
@@ -188,53 +185,12 @@ class QueryModel(GraphEmbeddingModel):
             self.context = context
 
 
-def check_shard_plan(
-    shards: int, fleet_size: int | None = None
-) -> int:
-    """Validate an export shard count against the serving fleet.
-
-    ``shards`` must be >= 1, and when ``fleet_size`` is given every
-    serving replica must own a whole number of shards — i.e.
-    ``fleet_size`` must divide ``shards`` evenly.  Raises ``ValueError``
-    with the constraint spelled out (the CLI surfaces it as an exit-2
-    argument error, not a traceback).  Returns the validated count.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if fleet_size is not None:
-        if fleet_size < 1:
-            raise ValueError(
-                f"fleet size must be >= 1, got {fleet_size}"
-            )
-        if shards % fleet_size != 0:
-            raise ValueError(
-                f"shards={shards} does not divide evenly over a serving "
-                f"fleet of {fleet_size} replicas: each replica must own a "
-                f"whole number of shards, so pick a shard count that is a "
-                f"multiple of {fleet_size} (e.g. "
-                f"{max(1, shards // fleet_size) * fleet_size} or "
-                f"{(shards // fleet_size + 1) * fleet_size})"
-            )
-    return int(shards)
-
-
-def save_bundle(
-    model: Actor | QueryModel,
-    directory: str | Path,
-    *,
-    shards: int = 1,
-    fleet_size: int | None = None,
-) -> Path:
+def save_bundle(model: Actor | QueryModel, directory: str | Path) -> Path:
     """Write ``model``'s inference state to ``directory`` (created if needed).
 
     Embeddings go out as raw ``.npy`` sidecars (format v2) so the bundle
     can later be served zero-copy via ``load_bundle(..., mmap=True)``.
-    With ``shards=K > 1`` the matrices are hash-partitioned into
-    ``shards/NN`` sidecar directories (format v3) for scatter-gather
-    serving; ``fleet_size`` additionally enforces that the shard count
-    divides the serving fleet evenly (see :func:`check_shard_plan`).
     """
-    shards = check_shard_plan(shards, fleet_size)
     # QueryModel and OnlineActor are fitted by construction; a bare Actor
     # must have been trained.
     if not getattr(model, "is_fitted", True):
@@ -275,20 +231,8 @@ def save_bundle(
 
     center = np.asarray(model.center, dtype=np.float64)
     context = np.asarray(model.context, dtype=np.float64)
-    if shards == 1:
-        np.save(directory / "center.npy", center)
-        np.save(directory / "context.npy", context)
-    else:
-        from repro.sharding import HashPartitioner, shard_subdir
-
-        _, _, shard_rows = HashPartitioner(shards).build_maps(
-            center.shape[0]
-        )
-        for s, rows in enumerate(shard_rows):
-            sdir = shard_subdir(directory, s)
-            sdir.mkdir(parents=True, exist_ok=True)
-            np.save(sdir / "center.npy", center[rows])
-            np.save(sdir / "context.npy", context[rows])
+    np.save(directory / "center.npy", center)
+    np.save(directory / "context.npy", context)
     np.savez_compressed(
         directory / "hotspots.npz",
         spatial=detector.spatial_hotspots,
@@ -300,35 +244,108 @@ def save_bundle(
     )
     config = getattr(model, "config", None)
     manifest = {
-        "format_version": (
-            FORMAT_VERSION if shards == 1 else SHARDED_FORMAT_VERSION
-        ),
+        "format_version": FORMAT_VERSION,
         "dim": int(center.shape[1]),
         "n_nodes": int(center.shape[0]),
         "period": float(getattr(detector, "period", 24.0)),
         "config": asdict(config) if config is not None else None,
     }
-    if shards > 1:
-        manifest["sharding"] = {
-            "n_shards": shards,
-            "partitioner": "splitmix64",
-        }
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
     return directory
+
+
+def _splitmix64_owner(n_rows: int, n_shards: int) -> np.ndarray:
+    """Owning shard of each global row of a legacy v3 bundle.
+
+    The splitmix64 finalizer of the row id, modulo the shard count —
+    the vertex hash the v3 writer placed rows with.
+    """
+    z = np.arange(n_rows, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+    return (z % np.uint64(n_shards)).astype(np.int64)
+
+
+def _load_v3_matrices(
+    manifest: dict, directory: Path, *, mmap: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read a legacy v3 bundle's shard sidecars into one dense pair.
+
+    Each ``shards/NN/{center,context}.npy`` holds its shard's rows in
+    ascending global id; the rows are scattered back into global-id
+    order in RAM.  A v3 bundle cannot be memory-mapped in global order,
+    so ``mmap=True`` maps each sidecar only long enough to copy it.  To
+    get a mappable bundle, migrate it to v2 with
+    ``repro export --model old/ --out new/``.
+    """
+    sharding = _require(manifest, "sharding", version=3, directory=directory)
+    n_shards = sharding.get("n_shards")
+    if not isinstance(n_shards, int) or n_shards < 1:
+        raise BundleFormatError(
+            f"bundle at {directory} (format v3) declares invalid "
+            f"sharding.n_shards {n_shards!r}"
+        )
+    partitioner = sharding.get("partitioner")
+    if partitioner != "splitmix64":
+        raise BundleFormatError(
+            f"bundle at {directory} (format v3) uses unknown "
+            f"partitioner {partitioner!r}; this build reads 'splitmix64'"
+        )
+    n_nodes = _require(manifest, "n_nodes", version=3, directory=directory)
+    if not isinstance(n_nodes, int) or n_nodes < 0:
+        raise BundleFormatError(
+            f"bundle at {directory} (format v3) declares invalid "
+            f"n_nodes {n_nodes!r}"
+        )
+    owner = _splitmix64_owner(n_nodes, n_shards)
+    expected = np.bincount(owner, minlength=n_shards).tolist()
+    matrices = []
+    for name in ("center", "context"):
+        parts = []
+        for s in range(n_shards):
+            path = directory / "shards" / f"{s:02d}" / f"{name}.npy"
+            if not path.exists():
+                raise BundleFormatError(
+                    f"bundle at {directory} (format v3) is missing "
+                    f"shard sidecar {path.relative_to(directory)}"
+                )
+            parts.append(
+                _load_array(path, mmap=mmap, version=3, directory=directory)
+            )
+        counts = [part.shape[0] for part in parts]
+        if counts != expected:
+            raise BundleFormatError(
+                f"bundle at {directory} (format v3) is mis-sharded: "
+                f"{name} shard row counts {counts} (sum {sum(counts)}) do "
+                f"not match the hash layout {expected} of n_nodes={n_nodes}"
+            )
+        dims = {part.shape[1:] for part in parts}
+        if len(dims) != 1:
+            raise BundleFormatError(
+                f"bundle at {directory} (format v3) has {name} shards of "
+                f"mismatched widths {sorted(dims)}"
+            )
+        matrix = np.empty((n_nodes, *dims.pop()), dtype=np.float64)
+        for s, part in enumerate(parts):
+            matrix[owner == s] = part
+        matrices.append(matrix)
+    return matrices[0], matrices[1]
 
 
 def load_bundle(directory: str | Path, *, mmap: bool = False) -> QueryModel:
     """Reconstruct a :class:`QueryModel` from a bundle directory.
 
-    With ``mmap=True`` (format v2/v3 bundles) the embedding matrices
-    are memory-mapped read-only straight from the bundle's ``.npy``
-    sidecars — no copy, near-instant startup, identical query results.
-    Format v1 bundles store compressed ``embeddings.npz`` archives, whose
-    members cannot be mapped; re-export with :func:`save_bundle` to get
-    a mappable v2 bundle.  Format v3 bundles come back behind a
-    :class:`~repro.sharding.ShardedStore` over the per-shard sidecars
-    (each shard mapped read-only under ``mmap=True``), with the row
-    layout re-derived from the manifest's shard count.
+    With ``mmap=True`` (format v2 bundles) the embedding matrices are
+    memory-mapped read-only straight from the bundle's ``.npy`` sidecars
+    — no copy, near-instant startup, identical query results.  Format v1
+    bundles store compressed ``embeddings.npz`` archives, whose members
+    cannot be mapped; re-export with :func:`save_bundle` to get a
+    mappable v2 bundle.  Legacy format v3 bundles load eagerly under
+    either setting (see :func:`_load_v3_matrices`).
     """
     directory = Path(directory)
     manifest = _read_manifest(directory / "manifest.json", kind="bundle")
@@ -339,52 +356,9 @@ def load_bundle(directory: str | Path, *, mmap: bool = False) -> QueryModel:
     store: EmbeddingStore | None = None
     center = context = None
     if version == 3:
-        from repro.sharding import ShardedStore, shard_subdir
-
-        sharding = _require(
-            manifest, "sharding", version=version, directory=directory
+        center, context = _load_v3_matrices(
+            manifest, directory, mmap=mmap
         )
-        n_shards = sharding.get("n_shards")
-        if not isinstance(n_shards, int) or n_shards < 1:
-            raise BundleFormatError(
-                f"bundle at {directory} (format v3) declares invalid "
-                f"sharding.n_shards {n_shards!r}"
-            )
-        partitioner = sharding.get("partitioner")
-        if partitioner != "splitmix64":
-            raise BundleFormatError(
-                f"bundle at {directory} (format v3) uses unknown "
-                f"partitioner {partitioner!r}; this build reads 'splitmix64'"
-            )
-        children: list[EmbeddingStore] = []
-        for s in range(n_shards):
-            sdir = shard_subdir(directory, s)
-            if mmap:
-                if not (sdir / "center.npy").exists():
-                    raise BundleFormatError(
-                        f"bundle at {directory} (format v3) is missing "
-                        f"shard sidecar {sdir.name}/center.npy"
-                    )
-                children.append(MmapStore.open(sdir, mode="r"))
-            else:
-                children.append(
-                    DenseStore(
-                        _load_array(
-                            sdir / "center.npy", mmap=False,
-                            version=version, directory=directory,
-                        ),
-                        _load_array(
-                            sdir / "context.npy", mmap=False,
-                            version=version, directory=directory,
-                        ),
-                    )
-                )
-        try:
-            store = ShardedStore.from_children(children)
-        except ValueError as exc:
-            raise BundleFormatError(
-                f"bundle at {directory} (format v3) is mis-sharded: {exc}"
-            ) from exc
     elif version == 1:
         if mmap:
             raise BundleFormatError(

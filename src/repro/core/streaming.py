@@ -389,11 +389,6 @@ class OnlineActor(GraphEmbeddingModel):
         Embedding storage backend for the online copies — ``"dense"``
         (default), ``"shared"`` (forked processes can serve the live
         model while this one streams) or ``"mmap"``.
-    store_shards:
-        Hash-partition the online store over this many child backends
-        (see :mod:`repro.sharding`); streamed vertex growth lands each
-        new global row on its hash-owner shard, and the online SGNS
-        bursts keep sampling negatives from the full global row space.
     metrics:
         Optional shared :class:`~repro.utils.metrics.MetricsRegistry`; a
         private one is created when omitted.  See :attr:`metrics`.
@@ -420,7 +415,6 @@ class OnlineActor(GraphEmbeddingModel):
         seed: int | np.random.Generator | None = 0,
         buffer_size: int = 200_000,
         store_backend: str = "dense",
-        store_shards: int = 1,
         metrics: MetricsRegistry | None = None,
         tracer=None,
         logger=None,
@@ -431,7 +425,7 @@ class OnlineActor(GraphEmbeddingModel):
         check_positive("steps_per_batch", steps_per_batch)
         self.built = base.built
         self.config = base.config
-        self.adopt_store(make_store(store_backend, n_shards=store_shards))
+        self.adopt_store(make_store(store_backend))
         self.center = np.array(base.center)      # private copies
         self.context = np.array(base.context)
         self.buffer = RecencyBuffer(half_life=half_life, max_size=buffer_size)

@@ -126,17 +126,12 @@ def write_pointer(
 
 
 class BundlePublisher:
-    """Exports versioned bundles into a bundle root, atomically.
+    """Exports versioned v2 bundles into a bundle root, atomically.
 
     Parameters
     ----------
     root:
         The bundle root directory (created if needed).
-    shards:
-        Hash-partition every published bundle over this many shard
-        sidecars (format v3, see :mod:`repro.sharding`); ``1`` (default)
-        publishes plain v2 bundles.  Validated against
-        :func:`~repro.core.serialize.check_shard_plan` at publish time.
     retain:
         How many published epochs to keep; older ones are pruned after
         each publish.  Epochs referenced by the ``CURRENT`` or ``LATEST``
@@ -151,18 +146,14 @@ class BundlePublisher:
         self,
         root: str | Path,
         *,
-        shards: int = 1,
         retain: int | None = 8,
         metrics: MetricsRegistry | None = None,
         logger=None,
     ) -> None:
         if retain is not None and retain < 1:
             raise ValueError(f"retain must be >= 1 or None, got {retain}")
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.shards = int(shards)
         self.retain = retain
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.logger = logger if logger is not None else NULL_LOGGER
@@ -189,7 +180,7 @@ class BundlePublisher:
         if tmp.exists():
             shutil.rmtree(tmp)
         try:
-            save_bundle(model, tmp, shards=self.shards)
+            save_bundle(model, tmp)
             (tmp / "promote.json").write_text(
                 json.dumps({"force": bool(force)})
             )

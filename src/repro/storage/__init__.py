@@ -40,45 +40,13 @@ def make_store(
     context=None,
     *,
     directory: str | os.PathLike | None = None,
-    n_shards: int = 1,
 ) -> EmbeddingStore:
     """Construct a store by backend name (``dense``/``shared``/``mmap``).
 
     ``directory`` only applies to the ``mmap`` backend (a private temp
     directory is created when omitted); passing it with another backend
     is an error so silent misconfiguration can't slip through.
-
-    ``n_shards > 1`` wraps ``n_shards`` children of the requested
-    backend in a :class:`~repro.sharding.ShardedStore` (hash-partitioned
-    rows, one composite version; mmap children live in
-    ``<directory>/shards/NN``).  The returned store honours the same
-    :class:`EmbeddingStore` contract either way.
     """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    if n_shards > 1:
-        # Imported lazily: repro.sharding builds its children through
-        # this factory, so a top-level import would be circular.
-        from repro.sharding import ShardedStore
-
-        if backend not in STORE_BACKENDS:
-            raise ValueError(
-                f"unknown store backend {backend!r}; "
-                f"choose one of {STORE_BACKENDS}"
-            )
-        if directory is not None and backend != "mmap":
-            raise ValueError(
-                f"directory= only applies to the 'mmap' backend, "
-                f"not {backend!r}"
-            )
-        store = ShardedStore(
-            n_shards, child_backend=backend, directory=directory
-        )
-        if center is not None:
-            store.set_matrix("center", center)
-        if context is not None:
-            store.set_matrix("context", context)
-        return store
     if backend == "mmap":
         return MmapStore(center, context, directory=directory)
     if directory is not None:

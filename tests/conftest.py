@@ -16,11 +16,8 @@ from repro.graphs import GraphBuilder
 
 # CI's store-matrix job sets REPRO_STORE=dense|shared|mmap to run the whole
 # query/serialization surface against each storage backend; local runs
-# default to the in-RAM dense backend.  The shard-matrix job additionally
-# sets REPRO_SHARDS=K to hash-partition the shared tiny model's store over
-# K child backends (repro.sharding), re-running the same surface sharded.
+# default to the in-RAM dense backend.
 STORE_BACKEND = os.environ.get("REPRO_STORE", "dense")
-STORE_SHARDS = int(os.environ.get("REPRO_SHARDS", "1"))
 
 SMALL_CITY = CityConfig(
     n_neighborhoods=4,
@@ -64,12 +61,6 @@ def store_backend():
 
 
 @pytest.fixture(scope="session")
-def store_shards():
-    """The shard count this run exercises (see REPRO_SHARDS)."""
-    return STORE_SHARDS
-
-
-@pytest.fixture(scope="session")
 def tiny_actor(dataset):
     """A quickly-trained ACTOR model for query-surface tests."""
     config = ActorConfig(
@@ -79,6 +70,5 @@ def tiny_actor(dataset):
         batches_per_epoch=4,
         seed=5,
         store_backend=STORE_BACKEND,
-        store_shards=STORE_SHARDS,
     )
     return Actor(config).fit(dataset.train)

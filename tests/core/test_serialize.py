@@ -2,10 +2,12 @@
 
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core.serialize import (
     FORMAT_VERSION,
     BundleFormatError,
@@ -13,6 +15,14 @@ from repro.core.serialize import (
     load_bundle,
     save_bundle,
 )
+from repro.serving.service import QueryService
+from repro.utils.metrics import MetricsRegistry
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+# A legacy sharded (format v3, K=3) bundle and the v2 bundle of the same
+# model, both written by the v3-era writer; see tests/fixtures/README.md.
+V3_FIXTURE = FIXTURES / "bundle_v3_k3"
+V2_TWIN = FIXTURES / "bundle_v2_twin"
 
 
 @pytest.fixture(scope="module")
@@ -231,3 +241,120 @@ class TestMmapLoad:
             mapped.unit_vector("word", word), "word", k=5
         )
         assert [w for w, _s in original] == [w for w, _s in served]
+
+
+def _served_answers(model) -> str:
+    """Byte-exact JSON of predict + neighbors answers served by ``model``."""
+    service = QueryService(model, metrics=MetricsRegistry())
+    requests = [
+        service.validate_predict(
+            {
+                "target": "time",
+                "candidates": [2.0, 9.5, 13.0, 21.5],
+                "words": ["beach_00"],
+                "location": [1.0, 2.0],
+            }
+        )
+    ] + [
+        service.validate_neighbors(
+            {"modality": modality, "time": 21.5, "words": ["park_00"], "k": 8}
+        )
+        for modality in ("word", "time", "location")
+    ]
+    return json.dumps(service.dispatch(requests))
+
+
+@pytest.fixture()
+def v3_copy(tmp_path):
+    """A writable copy of the committed legacy v3 fixture."""
+    return Path(shutil.copytree(V3_FIXTURE, tmp_path / "v3"))
+
+
+def _edit_sharding(bundle: Path, **fields) -> None:
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    manifest["sharding"].update(fields)
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+
+
+class TestV3Compatibility:
+    """Legacy sharded bundles load as one dense matrix pair."""
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_loads_bit_equal_to_v2_twin(self, mmap):
+        legacy = load_bundle(V3_FIXTURE, mmap=mmap)
+        twin = load_bundle(V2_TWIN)
+        for name in ("center", "context"):
+            got = np.asarray(getattr(legacy, name))
+            want = np.asarray(getattr(twin, name))
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert legacy.built.vocab.words == twin.built.vocab.words
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_served_answers_identical_to_v2_twin(self, mmap):
+        assert _served_answers(
+            load_bundle(V3_FIXTURE, mmap=mmap)
+        ) == _served_answers(load_bundle(V2_TWIN, mmap=mmap))
+
+    def test_neighbors_parity_with_v2(self):
+        legacy = load_bundle(V3_FIXTURE, mmap=True)
+        twin = load_bundle(V2_TWIN, mmap=True)
+        rng = np.random.default_rng(21)
+        for modality in ("word", "time", "location", "user"):
+            query = rng.standard_normal(twin.dim)
+            assert legacy.neighbors(query, modality, 10) == twin.neighbors(
+                query, modality, 10
+            )
+
+    def test_export_migrates_to_v2(self, tmp_path, capsys):
+        out = tmp_path / "migrated"
+        assert main(["export", "--model", str(V3_FIXTURE), "--out", str(out)]) == 0
+        assert "exported portable bundle" in capsys.readouterr().out
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["format_version"] == FORMAT_VERSION
+        assert "sharding" not in manifest
+        assert not (out / "shards").exists()
+        migrated = load_bundle(out, mmap=True)
+        assert migrated.store.backend == "mmap"
+        twin = load_bundle(V2_TWIN)
+        assert np.asarray(migrated.center).tobytes() == twin.center.tobytes()
+
+    def test_missing_shard_sidecar_fails_loudly(self, v3_copy):
+        (v3_copy / "shards" / "02" / "center.npy").unlink()
+        for mmap in (False, True):
+            with pytest.raises(
+                BundleFormatError, match="shard sidecar shards/02/center.npy"
+            ):
+                load_bundle(v3_copy, mmap=mmap)
+
+    @pytest.mark.parametrize("n_shards", [0, "3"])
+    def test_invalid_shard_count_rejected(self, v3_copy, n_shards):
+        _edit_sharding(v3_copy, n_shards=n_shards)
+        with pytest.raises(BundleFormatError, match="sharding.n_shards"):
+            load_bundle(v3_copy)
+
+    def test_unknown_partitioner_rejected(self, v3_copy):
+        _edit_sharding(v3_copy, partitioner="crc32")
+        with pytest.raises(BundleFormatError, match="partitioner"):
+            load_bundle(v3_copy)
+
+    def test_wrong_shard_count_is_mis_sharded(self, v3_copy):
+        _edit_sharding(v3_copy, n_shards=2)
+        with pytest.raises(BundleFormatError, match="mis-sharded"):
+            load_bundle(v3_copy, mmap=True)
+
+    def test_rows_not_summing_to_n_nodes_are_mis_sharded(self, v3_copy):
+        shard = v3_copy / "shards" / "01"
+        for name in ("center", "context"):
+            rows = np.load(shard / f"{name}.npy")
+            np.save(shard / f"{name}.npy", rows[:-1])
+        with pytest.raises(BundleFormatError, match="mis-sharded") as excinfo:
+            load_bundle(v3_copy)
+        assert "n_nodes=667" in str(excinfo.value)
+
+    def test_missing_sharding_block_named(self, v3_copy):
+        manifest = json.loads((v3_copy / "manifest.json").read_text())
+        del manifest["sharding"]
+        (v3_copy / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(BundleFormatError, match="'sharding'"):
+            load_bundle(v3_copy)

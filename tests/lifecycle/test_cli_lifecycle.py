@@ -79,39 +79,6 @@ class TestPromoteCli:
         assert [e for e, _ in list_epochs(bundles)] == [1, 2]
         assert read_pointer(bundles, "LATEST") == 2
 
-    def test_promote_shards_publishes_v3_epoch(
-        self, tmp_path, model_path, capsys
-    ):
-        bundles = tmp_path / "bundles"
-        code = main(
-            [
-                "promote",
-                "--model", str(model_path),
-                "--bundles", str(bundles),
-                "--shards", "2",
-            ]
-        )
-        assert code == 0
-        assert "published epoch 000001" in capsys.readouterr().out
-        manifest = json.loads(
-            (bundles / "000001" / "manifest.json").read_text()
-        )
-        assert manifest["sharding"]["n_shards"] == 2
-
-    def test_promote_rejects_nonpositive_shards(
-        self, tmp_path, model_path, capsys
-    ):
-        code = main(
-            [
-                "promote",
-                "--model", str(model_path),
-                "--bundles", str(tmp_path / "bundles"),
-                "--shards", "0",
-            ]
-        )
-        assert code == 2
-        assert "shards" in capsys.readouterr().err
-
     def test_promote_force_lands_in_promote_json(
         self, tmp_path, model_path, capsys
     ):
@@ -128,6 +95,20 @@ class TestPromoteCli:
         assert "forced" in capsys.readouterr().out
         promote = json.loads((bundles / "000001" / "promote.json").read_text())
         assert promote == {"force": True}
+
+    def test_promote_rejects_nonpositive_retain(
+        self, tmp_path, model_path, capsys
+    ):
+        code = main(
+            [
+                "promote",
+                "--model", str(model_path),
+                "--bundles", str(tmp_path / "bundles"),
+                "--retain", "0",
+            ]
+        )
+        assert code == 2
+        assert "retain" in capsys.readouterr().err
 
 
 class TestRollbackCli:
