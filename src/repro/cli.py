@@ -325,8 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--batch-window-ms", type=float, default=2.0, metavar="MS",
-        help="how long a request lingers for co-travellers before the "
-        "batch dispatches (default: 2.0)",
+        help="upper bound on how long a request lingers for "
+        "co-travellers; it lingers only while other requests are still "
+        "arriving (default: 2.0)",
     )
     serve.add_argument(
         "--ann", action="store_true",

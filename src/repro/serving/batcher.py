@@ -9,6 +9,15 @@ everything that arrived within a few milliseconds (``max_wait_ms``) or up
 to ``max_batch`` items, hands the group to one ``dispatch_fn`` call, and
 fans the per-item results back out.
 
+Lingering for company only pays when company is on its way.  An
+arrival-aware batcher (one given ``arrivals``) is told, through
+:meth:`~RequestBatcher.arriving`, how many callers are about to submit
+(the HTTP server counts requests whose bodies are still being read and
+validated), and asks ``arrivals()`` about callers not counted yet (the
+server reports connections waiting to be accepted).  It waits only while
+either says more are coming, so ``max_wait_ms`` becomes an upper bound
+and a lone request dispatches at once instead of idling out the window.
+
 The contract that makes coalescing safe is **exact parity**: the dispatch
 function must return, for each item, the same result it would return for a
 single-item batch (the engine's ragged-batch path guarantees this
@@ -26,7 +35,8 @@ from __future__ import annotations
 
 import threading
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 
 from repro.utils.metrics import MetricsRegistry
 
@@ -73,6 +83,14 @@ class RequestBatcher:
         item of a batch, in milliseconds.  ``0`` dispatches whatever is
         queued immediately (still coalescing items that queued while a
         previous batch was executing).
+    arrivals:
+        Optional zero-argument callable reporting whether callers not
+        counted by :meth:`arriving` are on their way.  Giving one makes
+        ``max_wait_ms`` an upper bound: the dispatcher lingers only while
+        some caller is inside :meth:`arriving` or ``arrivals()`` is true,
+        and cuts the batch at once otherwise (pass ``lambda: False`` when
+        :meth:`arriving` is the only signal).  ``None`` (default) keeps
+        the pure time window.
     metrics:
         Optional :class:`~repro.utils.metrics.MetricsRegistry`; records
         ``serve.batch_size`` / ``serve.batch_wait_seconds`` histograms and
@@ -89,6 +107,7 @@ class RequestBatcher:
         max_wait_ms: float = 2.0,
         metrics: MetricsRegistry | None = None,
         name: str = "serve",
+        arrivals: Callable[[], bool] | None = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -102,6 +121,8 @@ class RequestBatcher:
         self._arrived = threading.Condition(self._lock)
         self._queue: list[tuple[object, _Slot]] = []
         self._closed = False
+        self._arrivals = arrivals
+        self._incoming = 0
         self.dispatched = 0
         self._batch_seq = 0
         self._dispatch_ctxs: list = []
@@ -140,6 +161,27 @@ class RequestBatcher:
             raise slot.error
         return slot.result
 
+    @contextmanager
+    def arriving(self) -> Iterator[None]:
+        """Count the caller as on its way to :meth:`submit` for the block.
+
+        An arrival-aware dispatcher keeps a batch open only while this
+        count is above zero (or ``arrivals()`` reports more on the way).
+        Leave the block before calling :meth:`submit`: the count covers
+        callers that *will* queue, not ones already queued.
+        """
+        with self._arrived:
+            self._incoming += 1
+        try:
+            yield
+        finally:
+            with self._arrived:
+                self._incoming -= 1
+                if self._incoming == 0:
+                    # A caller that turned back (e.g. a rejected request)
+                    # must not leave the dispatcher waiting for it.
+                    self._arrived.notify_all()
+
     @property
     def depth(self) -> int:
         """Requests currently queued and awaiting dispatch."""
@@ -161,7 +203,10 @@ class RequestBatcher:
     # --------------------------------------------------------- dispatcher side
 
     def _take_batch(self) -> list[tuple[object, _Slot]] | None:
-        """Wait for arrivals, linger ``max_wait``, then cut one batch.
+        """Wait for arrivals, linger up to ``max_wait``, then cut one batch.
+
+        An arrival-aware batcher stops lingering as soon as no caller is
+        inside :meth:`arriving` and ``arrivals()`` reports none either.
 
         Returns ``None`` exactly once: when the batcher closed and the
         queue is fully drained, which terminates the dispatcher thread.
@@ -173,7 +218,11 @@ class RequestBatcher:
                 self._arrived.wait()
             if self.max_wait > 0:
                 deadline = time.monotonic() + self.max_wait
-                while len(self._queue) < self.max_batch and not self._closed:
+                while (
+                    len(self._queue) < self.max_batch
+                    and not self._closed
+                    and self._more_expected()
+                ):
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         break
@@ -181,6 +230,14 @@ class RequestBatcher:
             batch = self._queue[: self.max_batch]
             del self._queue[: len(batch)]
             return batch
+
+    def _more_expected(self) -> bool:
+        """Whether lingering may gather company (call under the lock)."""
+        return (
+            self._arrivals is None
+            or self._incoming > 0
+            or self._arrivals()
+        )
 
     def _run(self) -> None:
         """Dispatcher loop: cut batches and execute them until drained."""

@@ -28,12 +28,21 @@ rode plus the lifecycle epoch it executed against.  An
 burn rates on every health scrape.
 
 Concurrent single-query requests are coalesced: handler threads park in
-the :class:`~repro.serving.batcher.RequestBatcher` for up to
-``batch_window_ms`` and execute as one vectorized
-:class:`~repro.serving.service.QueryService` dispatch, with exact parity
-to per-request execution.  Malformed bodies are *client* errors: they
+the :class:`~repro.serving.batcher.RequestBatcher` and execute as one
+vectorized :class:`~repro.serving.service.QueryService` dispatch, with
+exact parity to per-request execution.  The server counts admitted
+requests whose bodies are still being read and validated, and checks its
+listen backlog for connections not yet accepted; the batcher lingers for
+either, for at most ``batch_window_ms``, and dispatches at once when none
+is on its way.  Malformed bodies are *client* errors: they
 return structured 400 payloads and count under ``serve.bad_requests``
 rather than killing the handler thread with a 500.
+
+Each response leaves in one socket write with ``TCP_NODELAY`` set (see
+:class:`~repro.utils.telemetry_server.TelemetryHandler`).  Headers and
+body sent as two writes let Nagle's algorithm hold the body until the
+client's delayed ACK, up to 40 ms per response on a keep-alive
+connection.
 
 Shutdown drains: :meth:`QueryServer.stop` stops accepting new work (late
 requests get a 503), waits for in-flight handlers to finish, then drains
@@ -44,9 +53,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import select
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from contextlib import nullcontext
+from http.server import ThreadingHTTPServer
 
 from repro.core.query_engine import QueryEngine
 from repro.serving.batcher import BatcherClosed, RequestBatcher
@@ -66,7 +77,7 @@ from repro.utils.slo import (
     availability_source,
     latency_source,
 )
-from repro.utils.telemetry_server import TelemetryServer
+from repro.utils.telemetry_server import TelemetryHandler, TelemetryServer
 
 __all__ = ["QueryServer"]
 
@@ -85,22 +96,17 @@ class _QueryHTTPServer(ThreadingHTTPServer):
     request_queue_size = 128
 
 
-class _ServeHandler(BaseHTTPRequestHandler):
-    """Request handler bound to the owning :class:`QueryServer`."""
+class _ServeHandler(TelemetryHandler):
+    """Request handler bound to the owning :class:`QueryServer`.
 
-    # Built once per QueryServer via type(); the server injects itself.
+    ``GET`` requests reach the embedded telemetry renderer through the
+    inherited handler; this class adds the ``POST`` query endpoints.
+    """
+
+    # Built once per QueryServer via type(); the server injects itself
+    # (and its embedded TelemetryServer as ``telemetry``).
     server_ref: "QueryServer"
     protocol_version = "HTTP/1.1"
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        """Serve the observability endpoints from the embedded renderer."""
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
-        rendered = self.server_ref.telemetry.respond_get(path)
-        if rendered is None:
-            self._respond_json(404, {"error": f"no such endpoint: {path}"})
-            return
-        status, body, content_type = rendered
-        self._respond(status, body, content_type)
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         """Route ``/v1/predict`` and ``/v1/neighbors``.
@@ -157,23 +163,24 @@ class _ServeHandler(BaseHTTPRequestHandler):
         metrics = server.metrics
         with metrics.time("serve.request"):
             validate_start = time.perf_counter()
-            try:
-                body = self._read_json_body()
-                if path == "/v1/predict":
-                    request = server.service.validate_predict(body)
-                else:
-                    request = server.service.validate_neighbors(body)
-            except BadRequest as exc:
-                metrics.counter("serve.bad_requests").inc()
-                server.logger.warning(
-                    "serve.bad_request", path=path, error=str(exc)
-                )
-                return 400, exc.to_payload()
-            finally:
-                if ctx is not None:
-                    ctx.stage(
-                        "validate", time.perf_counter() - validate_start
+            with server.arriving():
+                try:
+                    body = self._read_json_body()
+                    if path == "/v1/predict":
+                        request = server.service.validate_predict(body)
+                    else:
+                        request = server.service.validate_neighbors(body)
+                except BadRequest as exc:
+                    metrics.counter("serve.bad_requests").inc()
+                    server.logger.warning(
+                        "serve.bad_request", path=path, error=str(exc)
                     )
+                    return 400, exc.to_payload()
+                finally:
+                    if ctx is not None:
+                        ctx.stage(
+                            "validate", time.perf_counter() - validate_start
+                        )
             try:
                 result = server.execute(request, ctx)
             except BatcherClosed:
@@ -208,32 +215,6 @@ class _ServeHandler(BaseHTTPRequestHandler):
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise BadRequest(f"request body is not valid JSON: {exc}") from None
 
-    def _respond(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str,
-        headers: dict | None = None,
-    ) -> None:
-        """Send one complete response (plus optional extra headers)."""
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if headers:
-            for name, value in headers.items():
-                self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _respond_json(
-        self, status: int, payload: dict, headers: dict | None = None
-    ) -> None:
-        """Send ``payload`` as a JSON response."""
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self._respond(
-            status, body, "application/json; charset=utf-8", headers
-        )
-
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         """Route access logs to the structured logger instead of stderr."""
         self.server_ref.logger.debug(
@@ -258,7 +239,10 @@ class QueryServer:
     max_batch:
         Largest coalesced batch handed to the engine at once.
     batch_window_ms:
-        How long a request lingers for co-travellers before dispatch.
+        The longest a request lingers for co-travellers before dispatch.
+        It lingers only while other admitted requests are still being
+        read and validated or new connections wait to be accepted; a
+        request with nobody behind it dispatches at once.
     coalesce:
         ``False`` disables the batcher entirely — every request becomes
         its own engine call (the naive path the latency bench compares
@@ -410,9 +394,14 @@ class QueryServer:
                 max_batch=self.max_batch,
                 max_wait_ms=self.batch_window_ms,
                 metrics=self.metrics,
+                arrivals=self._connections_waiting,
             )
         self.warm_engine(self.engine)
-        handler = type("BoundServeHandler", (_ServeHandler,), {"server_ref": self})
+        handler = type(
+            "BoundServeHandler",
+            (_ServeHandler,),
+            {"server_ref": self, "telemetry": self.telemetry},
+        )
         self._httpd = _QueryHTTPServer(
             (self.host, self.requested_port), handler
         )
@@ -690,6 +679,35 @@ class QueryServer:
             )
             return self._traced_dispatch(self.service, [request], [ctx])[0]
         return self.service.dispatch([request])[0]
+
+    def arriving(self):
+        """Context marking one request on its way to the batcher.
+
+        Handlers hold it while reading and validating a body, so the
+        batcher keeps a batch open only while more requests are coming;
+        a no-op without a batcher.
+        """
+        batcher = self.batcher
+        return batcher.arriving() if batcher is not None else nullcontext()
+
+    def _connections_waiting(self) -> bool:
+        """Whether new connections wait in the listen backlog.
+
+        Their requests are on their way to the batcher, but no handler
+        thread has counted them in :meth:`arriving` yet: the accept loop
+        takes one connection at a time, so in a burst of new connections
+        most of them sit here.
+        """
+        httpd = self._httpd
+        if httpd is None:
+            return False
+        try:
+            readable, _writable, _failed = select.select(
+                [httpd.socket], [], [], 0
+            )
+        except (OSError, ValueError):  # socket closed during shutdown
+            return False
+        return bool(readable)
 
     def _enter_request(self) -> None:
         """Count one handler thread into the in-flight drain barrier."""

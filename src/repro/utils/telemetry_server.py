@@ -47,17 +47,32 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from repro.utils.metrics import MetricsRegistry
 from repro.utils.telemetry import render_prometheus
 
-__all__ = ["TelemetryServer"]
+__all__ = ["TelemetryHandler", "TelemetryServer"]
 
 # healthz status severity order; providers may report any of these.
 _STATUS_RANK = {"ok": 0, "stale": 1, "alerting": 2}
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Request handler bound to the owning :class:`TelemetryServer`."""
+class TelemetryHandler(BaseHTTPRequestHandler):
+    """Serves the telemetry ``GET`` endpoints, each response in one write.
 
-    # Built once per TelemetryServer via type(); the server injects itself.
+    Bound to its :class:`TelemetryServer` through the ``telemetry`` class
+    attribute; the query-serving daemon's handler extends it with the
+    ``POST`` query endpoints, so both sockets share this writer.
+
+    The stdlib pattern -- ``end_headers()`` then ``wfile.write(body)`` --
+    puts a response on the wire as two small segments.  With Nagle's
+    algorithm on, the second segment waits for the peer to ACK the first,
+    and a client that has nothing to send delays that ACK by up to 40 ms,
+    so every response on a busy keep-alive connection paid the delayed-ACK
+    timer.  :meth:`_respond` joins the header buffer and the body into a
+    single write, and ``disable_nagle_algorithm`` sets ``TCP_NODELAY`` on
+    the accepted socket.  The bytes on the wire are unchanged.
+    """
+
+    # Built once per server via type(); the server injects itself.
     telemetry: "TelemetryServer"
+    disable_nagle_algorithm = True
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         """Route ``/metrics`` / ``/healthz`` / ``/varz``; 404 otherwise."""
@@ -69,18 +84,37 @@ class _Handler(BaseHTTPRequestHandler):
         status, body, content_type = rendered
         self._respond(status, body, content_type)
 
-    def _respond(self, status: int, body: bytes, content_type: str) -> None:
-        """Send one complete response."""
+    def _respond(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str,
+        headers: dict | None = None,
+    ) -> None:
+        """Send one complete response (plus optional extra headers)."""
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
+        if headers:
+            for name, value in headers.items():
+                self.send_header(name, value)
+        if self.request_version != "HTTP/0.9":
+            # What end_headers() + flush_headers() would send, with the
+            # body appended so headers and body share one write.
+            self._headers_buffer.append(b"\r\n")
+            self._headers_buffer.append(body)
+            body = b"".join(self._headers_buffer)
+            self._headers_buffer = []
         self.wfile.write(body)
 
-    def _respond_json(self, status: int, payload: dict) -> None:
+    def _respond_json(
+        self, status: int, payload: dict, headers: dict | None = None
+    ) -> None:
         """Send ``payload`` as a JSON response."""
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self._respond(status, body, "application/json; charset=utf-8")
+        self._respond(
+            status, body, "application/json; charset=utf-8", headers
+        )
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         """Route access logs to the structured logger instead of stderr."""
@@ -160,7 +194,7 @@ class TelemetryServer:
         """Bind the socket and serve from a daemon thread; returns self."""
         if self._httpd is not None:
             raise RuntimeError("telemetry server already started")
-        handler = type("BoundHandler", (_Handler,), {"telemetry": self})
+        handler = type("BoundHandler", (TelemetryHandler,), {"telemetry": self})
         self._httpd = ThreadingHTTPServer(
             (self.host, self.requested_port), handler
         )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -101,6 +102,124 @@ class TestCoalescing:
         with RequestBatcher(echo_dispatch, metrics=registry) as batcher:
             batcher.submit("a")
         assert registry.counter("serve.batches").value >= 1
+
+
+class TestArrivalAwareWait:
+    def test_lone_request_skips_the_window(self):
+        """Nobody on the way: a lone submit dispatches at once."""
+        with RequestBatcher(
+            echo_dispatch, max_wait_ms=500.0, arrivals=lambda: False
+        ) as batcher:
+            start = time.perf_counter()
+            result = batcher.submit("a")
+            elapsed = time.perf_counter() - start
+        assert result == {"item": "a", "batch_size": 1}
+        assert elapsed < 0.25
+
+    def test_announced_arrivals_still_coalesce(self):
+        """While a caller is on its way, concurrent submits share a batch."""
+        release = threading.Event()
+        results = {}
+        with RequestBatcher(
+            echo_dispatch, max_wait_ms=200.0, arrivals=lambda: False
+        ) as batcher:
+
+            def client(name):
+                release.wait()
+                results[name] = batcher.submit(name)
+
+            threads = [
+                threading.Thread(target=client, args=(f"q{i}",))
+                for i in range(8)
+            ]
+            with batcher.arriving():
+                for t in threads:
+                    t.start()
+                release.set()
+                for t in threads:
+                    t.join(timeout=10.0)
+        assert not any(t.is_alive() for t in threads)
+        assert set(results) == {f"q{i}" for i in range(8)}
+        assert max(r["batch_size"] for r in results.values()) > 1
+
+    def test_turned_back_arrival_releases_the_batch(self):
+        """An announced caller that never submits ends the wait early."""
+        results = {}
+        with RequestBatcher(
+            echo_dispatch, max_wait_ms=5000.0, arrivals=lambda: False
+        ) as batcher:
+            thread = threading.Thread(
+                target=lambda: results.update(a=batcher.submit("a"))
+            )
+            start = time.perf_counter()
+            with batcher.arriving():
+                thread.start()
+                time.sleep(0.05)
+            thread.join(timeout=10.0)
+            elapsed = time.perf_counter() - start
+        assert not thread.is_alive()
+        assert results["a"] == {"item": "a", "batch_size": 1}
+        assert elapsed < 2.5
+
+    def test_arrival_count_survives_thread_churn(self):
+        """Racing arrivals leave the count at zero: no lost update.
+
+        A leaked count would make every later lone request wait out the
+        whole window, so the final lone submit would take a second.
+        """
+        n_threads, n_rounds = 16, 40
+        results = []
+        lock = threading.Lock()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with RequestBatcher(
+                echo_dispatch, max_wait_ms=1000.0, arrivals=lambda: False
+            ) as batcher:
+
+                def client(t):
+                    for i in range(n_rounds):
+                        with batcher.arriving():
+                            item = (t, i)
+                        result = batcher.submit(item)
+                        with lock:
+                            results.append((item, result["item"]))
+
+                threads = [
+                    threading.Thread(target=client, args=(t,))
+                    for t in range(n_threads)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60.0)
+                assert not any(t.is_alive() for t in threads)
+                start = time.perf_counter()
+                batcher.submit("last")
+                elapsed = time.perf_counter() - start
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == n_threads * n_rounds
+        assert all(sent == got for sent, got in results)
+        assert elapsed < 0.5
+
+    def test_arrivals_probe_keeps_the_batch_open(self):
+        """Callers not yet counted, reported by arrivals(), are waited for."""
+        with RequestBatcher(
+            echo_dispatch, max_wait_ms=100.0, arrivals=lambda: True
+        ) as batcher:
+            start = time.perf_counter()
+            batcher.submit("a")
+            elapsed = time.perf_counter() - start
+        assert elapsed >= 0.09
+
+    def test_time_window_without_arrival_signal(self):
+        """The default batcher still lingers the whole window."""
+        with RequestBatcher(echo_dispatch, max_wait_ms=100.0) as batcher:
+            start = time.perf_counter()
+            batcher.submit("a")
+            elapsed = time.perf_counter() - start
+        assert elapsed >= 0.09
 
 
 class TestErrors:

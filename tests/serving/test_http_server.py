@@ -3,19 +3,25 @@
 Covers the serving parity contract end to end (coalesced HTTP responses
 identical to direct QueryEngine execution, including degenerate queries),
 concurrent clients, structured 400s for malformed bodies, the telemetry
-surface on the same socket, and drain-on-shutdown.
+surface on the same socket, drain-on-shutdown, and the wire contract that
+keeps keep-alive clients off the 40 ms delayed-ACK timer.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.serving import QueryServer
+from repro.serving.http_server import _QueryHTTPServer, _ServeHandler
 from repro.serving.service import QueryService
 from repro.utils.metrics import MetricsRegistry
 
@@ -267,12 +273,14 @@ class TestDrain:
             )
 
         t = threading.Thread(target=client)
-        t.start()
-        # Give the request time to arrive and park in the batch window,
+        # The batcher lingers only while another request is on its way:
+        # announce one so the client's request parks in the batch window,
         # then begin the drain while it is still in flight.
-        deadline = threading.Event()
-        deadline.wait(0.05)
-        server.stop()
+        with server.arriving():
+            t.start()
+            deadline = threading.Event()
+            deadline.wait(0.05)
+            server.stop()
         t.join(timeout=10.0)
         status, payload = results["response"]
         assert status == 200
@@ -283,3 +291,134 @@ class TestDrain:
         server.stop()
         server.stop()
         assert not server.running
+
+
+@pytest.fixture
+def wire_spy(monkeypatch):
+    """Record each serve connection's TCP_NODELAY flag and socket writes."""
+    connections: list[dict] = []
+    original_setup = _ServeHandler.setup
+
+    def setup(handler):
+        original_setup(handler)
+        writes: list[bytes] = []
+        connections.append(
+            {
+                "nodelay": handler.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                ),
+                "writes": writes,
+            }
+        )
+        raw_write = handler.wfile.write
+
+        def write(data):
+            writes.append(bytes(data))
+            return raw_write(data)
+
+        handler.wfile.write = write
+
+    monkeypatch.setattr(_ServeHandler, "setup", setup)
+    return connections
+
+
+class TestWire:
+    """One write per response, Nagle off: no delayed-ACK stall."""
+
+    def test_accepted_socket_has_tcp_nodelay(self, tiny_actor, wire_spy):
+        with QueryServer(tiny_actor, port=0) as server:
+            status, _payload = _post(
+                f"{server.url}/v1/neighbors", NEIGHBOR_BODIES[0]
+            )
+        assert status == 200
+        assert wire_spy
+        assert all(record["nodelay"] for record in wire_spy)
+
+    def test_each_response_is_one_write(self, tiny_actor, wire_spy):
+        """200, 400, 404 and GET responses each reach the socket whole."""
+        with QueryServer(tiny_actor, port=0) as server:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port)
+            sent = [
+                ("POST", "/v1/predict", PREDICT_BODIES[0], 200),
+                ("POST", "/v1/neighbors", NEIGHBOR_BODIES[0], 200),
+                ("POST", "/v1/predict", {"target": "venue"}, 400),
+                ("GET", "/nope", None, 404),
+                ("GET", "/healthz", None, 200),
+            ]
+            bodies = []
+            try:
+                for method, path, body, want in sent:
+                    data = None if body is None else json.dumps(body).encode()
+                    conn.request(method, path, body=data)
+                    response = conn.getresponse()
+                    bodies.append(response.read())
+                    assert response.status == want
+            finally:
+                conn.close()
+        assert len(wire_spy) == 1
+        writes = wire_spy[0]["writes"]
+        assert len(writes) == len(sent)
+        for write, body in zip(writes, bodies):
+            head, _sep, payload = write.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 ")
+            assert f"Content-Length: {len(body)}".encode() in head
+            assert payload == body
+
+    def test_listen_backlog_counts_as_arriving(
+        self, tiny_actor, monkeypatch
+    ):
+        """A connection not yet accepted is a request on its way."""
+        gate = threading.Event()
+        original = _QueryHTTPServer.process_request
+
+        def held(httpd, request, client_address):
+            gate.wait(10.0)
+            original(httpd, request, client_address)
+
+        monkeypatch.setattr(_QueryHTTPServer, "process_request", held)
+        with QueryServer(tiny_actor, port=0) as server:
+            assert not server._connections_waiting()
+            address = ("127.0.0.1", server.port)
+            # The accept loop takes the first connection and blocks in
+            # process_request, so the second one stays in the backlog.
+            with socket.create_connection(address), socket.create_connection(
+                address
+            ):
+                deadline = time.monotonic() + 10.0
+                while (
+                    not server._connections_waiting()
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.01)
+                waiting = server._connections_waiting()
+                gate.set()
+        assert waiting
+
+    def test_keepalive_requests_do_not_stall(self, tiny_actor):
+        """Back-to-back keep-alive POSTs stay far below the 40 ms timer.
+
+        With headers and body sent as two writes and Nagle on, every
+        response after the first waits for the client's delayed ACK, so
+        the median sits near 40 ms; the requests must go back to back,
+        because spacing them out lets the ACK timer expire unobserved.
+        """
+        body = json.dumps(NEIGHBOR_BODIES[0]).encode("utf-8")
+        latencies = []
+        with QueryServer(tiny_actor, port=0) as server:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port)
+            try:
+                for _ in range(40):
+                    start = time.perf_counter()
+                    conn.request(
+                        "POST",
+                        "/v1/neighbors",
+                        body=body,
+                        headers={"Content-Type": "application/json"},
+                    )
+                    response = conn.getresponse()
+                    response.read()
+                    latencies.append(time.perf_counter() - start)
+                    assert response.status == 200
+            finally:
+                conn.close()
+        assert statistics.median(latencies) * 1e3 < 20.0

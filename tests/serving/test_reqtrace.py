@@ -265,6 +265,19 @@ class TestTracePropagation:
         # must have coalesced multiple clients.
         assert coalesced
 
+    def test_lone_request_does_not_wait_out_the_window(self, tiny_actor):
+        """With nobody on the way, queue_wait is far below the window."""
+        with QueryServer(tiny_actor, port=0, batch_window_ms=50.0) as server:
+            status, _payload, _headers = _post(
+                f"{server.url}/v1/predict",
+                PREDICT_BODY,
+                headers={"X-Request-Id": "lone-1"},
+            )
+            status_get, snapshot = _get(f"{server.url}/debug/requests")
+        assert status == 200 and status_get == 200
+        entry = {e["id"]: e for e in snapshot["recent"]}["lone-1"]
+        assert entry["stages_ms"]["queue_wait"] < 25.0
+
     def test_batch_entries_carry_engine_stages(self, tiny_actor):
         with QueryServer(tiny_actor, port=0) as server:
             status, _payload, _headers = _post(

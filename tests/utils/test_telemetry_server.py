@@ -1,6 +1,7 @@
 """Tests for the live telemetry HTTP server (/metrics /healthz /varz)."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -9,7 +10,7 @@ import pytest
 
 from repro.utils.logging import StructuredLogger
 from repro.utils.metrics import MetricsRegistry
-from repro.utils.telemetry_server import TelemetryServer
+from repro.utils.telemetry_server import TelemetryHandler, TelemetryServer
 
 
 def _get(url: str):
@@ -192,3 +193,38 @@ class TestConcurrency:
             for t in threads:
                 t.join(timeout=10)
         assert errors == []
+
+
+class TestWire:
+    def test_each_response_is_one_write_with_nodelay(
+        self, registry, monkeypatch
+    ):
+        """The shared writer sends headers and body together, Nagle off."""
+        seen: list[tuple[int, list[bytes]]] = []
+        original_setup = TelemetryHandler.setup
+
+        def setup(handler):
+            original_setup(handler)
+            writes: list[bytes] = []
+            nodelay = handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            )
+            seen.append((nodelay, writes))
+            raw_write = handler.wfile.write
+
+            def write(data):
+                writes.append(bytes(data))
+                return raw_write(data)
+
+            handler.wfile.write = write
+
+        monkeypatch.setattr(TelemetryHandler, "setup", setup)
+        with TelemetryServer(registry) as server:
+            ok_status, _ctype, ok_body = _get(server.url + "/metrics")
+            missing_status, _ctype, missing_body = _get(server.url + "/nope")
+        assert (ok_status, missing_status) == (200, 404)
+        assert len(seen) == 2
+        for (nodelay, writes), body in zip(seen, (ok_body, missing_body)):
+            assert nodelay
+            assert len(writes) == 1
+            assert writes[0].endswith(b"\r\n\r\n" + body.encode("utf-8"))
