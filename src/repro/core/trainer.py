@@ -117,6 +117,34 @@ class PlainEdgeTask(TrainTask):
         return sgns_step(center, context, batch.src, batch.dst, batch.neg, lr)
 
 
+class _RecordBags:
+    """Records' word occurrences in CSR form: one flat id array plus
+    per-record ``starts`` and ``lengths``."""
+
+    def __init__(self, records: list[RecordUnits]) -> None:
+        self.lengths = np.asarray(
+            [len(r.word_nodes) for r in records], dtype=np.int64
+        )
+        self.starts = np.zeros(len(records), dtype=np.int64)
+        np.cumsum(self.lengths[:-1], out=self.starts[1:])
+        self.flat = np.fromiter(
+            (w for r in records for w in r.word_nodes),
+            dtype=np.int64,
+            count=int(self.lengths.sum()),
+        )
+
+    def gather(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions into ``flat`` of records ``idx`` laid end to end, and
+        the ``(len(idx) + 1,)`` prefix offsets of each record's slice."""
+        lengths = self.lengths[idx]
+        offsets = np.zeros(idx.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        positions = np.arange(offsets[-1], dtype=np.int64) + np.repeat(
+            self.starts[idx] - offsets[:-1], lengths
+        )
+        return positions, offsets
+
+
 class BagToUnitTask(TrainTask):
     """Record bag-of-words (summed word vectors) predicts the record's unit.
 
@@ -140,24 +168,21 @@ class BagToUnitTask(TrainTask):
         if not eligible:
             raise ValueError("no records with words for bag-of-words training")
         self.name = f"bow:{edge_type.value}"
-        self._words = [np.asarray(r.word_nodes, dtype=np.int64) for r in eligible]
+        self._bags = _RecordBags(eligible)
         units = [
             r.location_node if unit_of == "location" else r.time_node
             for r in eligible
         ]
         self._units = np.asarray(units, dtype=np.int64)
-        self._weights = np.asarray([len(w) for w in self._words], dtype=np.float64)
         self._noise = noise
         self._negatives = negatives
-        self._record_table = AliasTable(self._weights)
+        self._record_table = AliasTable(self._bags.lengths.astype(np.float64))
 
     def step(self, center, context, batch_size, lr, rng):
         """One bag-of-words step: record bags predict their L/T unit."""
         idx = self._record_table.sample(batch_size, seed=rng)
-        bags = [self._words[i] for i in idx]
-        flat = np.concatenate(bags)
-        lengths = np.asarray([b.size for b in bags])
-        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        positions, offsets = self._bags.gather(idx)
+        flat = self._bags.flat[positions]
         dst = self._units[idx]
         neg = self._noise.sample((batch_size, self._negatives), rng)
         return sgns_step_bow(center, context, flat, offsets, dst, neg, lr)
@@ -181,25 +206,21 @@ class BagToWordTask(TrainTask):
         if not eligible:
             raise ValueError("no records with >= 2 words for WW bag training")
         self.name = "bow:WW"
-        self._words = [np.asarray(r.word_nodes, dtype=np.int64) for r in eligible]
-        weights = np.asarray([w.size for w in self._words], dtype=np.float64)
+        self._bags = _RecordBags(eligible)
         self._noise = noise
         self._negatives = negatives
-        self._record_table = AliasTable(weights)
+        self._record_table = AliasTable(self._bags.lengths.astype(np.float64))
 
     def step(self, center, context, batch_size, lr, rng):
         """One bag-of-words step: record bags predict a member word."""
         idx = self._record_table.sample(batch_size, seed=rng)
-        bags: list[np.ndarray] = []
-        targets = np.empty(batch_size, dtype=np.int64)
-        for b, i in enumerate(idx):
-            words = self._words[i]
-            t = int(rng.integers(words.size))
-            targets[b] = words[t]
-            bags.append(np.delete(words, t))
-        flat = np.concatenate(bags)
-        lengths = np.asarray([b.size for b in bags])
-        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        positions, offsets = self._bags.gather(idx)
+        target_pos = offsets[:-1] + rng.integers(self._bags.lengths[idx])
+        targets = self._bags.flat[positions[target_pos]]
+        keep = np.ones(positions.size, dtype=bool)
+        keep[target_pos] = False
+        flat = self._bags.flat[positions[keep]]
+        offsets = offsets - np.arange(offsets.size)  # one target per bag
         neg = self._noise.sample((batch_size, self._negatives), rng)
         return sgns_step_bow(center, context, flat, offsets, targets, neg, lr)
 

@@ -84,6 +84,7 @@ def hogwild_run(
     errors: list[BaseException] = []
 
     def worker(worker_id: int) -> None:
+        """Run this worker's share of steps; record its summed loss."""
         local_rng = worker_rngs[worker_id]
         acc = 0.0
         try:

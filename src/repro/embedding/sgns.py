@@ -7,22 +7,26 @@ Eq. (7)
 
 and its gradients (Eqs. 8-10), applied as mini-batch SGD (Eqs. 12-14).
 The paper's C++ implementation updates one edge at a time; here each call
-processes a whole mini-batch with NumPy scatter-adds (sort + ``reduceat``,
-see :func:`_scatter_add`) so repeated indices inside a batch accumulate
-correctly.
+processes a whole mini-batch, so repeated indices inside a batch must
+accumulate correctly.
 
 Two kernels are provided:
 
 * :func:`sgns_step` — plain center/context pairs (all inter-record edge
   types, and intra-record edges when the bag-of-words structure is off).
+  Its updates are scatter-adds (sort + ``reduceat``, see
+  :func:`_scatter_add`).
 * :func:`sgns_step_bow` — the intra-record bag-of-words variant (footnote 4):
-  the textual side of a record is the *sum of its word embeddings*; the
-  center gradient is scattered back to every constituent word.
+  the textual side of a record is the *sum of its word embeddings*.  A
+  sparse bags × words matrix both sums the bags and spreads the center
+  gradient back to every constituent word; the context updates are
+  scatter-adds as in :func:`sgns_step`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_array
 
 __all__ = ["sigmoid", "sgns_step", "sgns_step_bow", "sgns_batch_loss"]
 
@@ -133,7 +137,8 @@ def sgns_step_bow(
         Concatenated word vertex indices of all records in the batch.
     offsets:
         ``(B + 1,)`` prefix offsets into ``flat_words``; record ``b`` owns
-        ``flat_words[offsets[b]:offsets[b+1]]`` and must be non-empty.
+        ``flat_words[offsets[b]:offsets[b+1]]`` and must be non-empty;
+        ``offsets[0]`` is 0 and ``offsets[-1]`` is ``len(flat_words)``.
     dst:
         ``(B,)`` observed context vertices (the record's L or T unit).
     neg:
@@ -152,9 +157,14 @@ def sgns_step_bow(
         raise ValueError("every bag in the batch must be non-empty")
 
     d = center.shape[1]
-    word_vecs = center[flat_words]                               # (sumL, d)
-    # Sum word vectors per record.  reduceat needs int starts < len.
-    bag = np.add.reduceat(word_vecs, offsets[:-1], axis=0)       # (B, d)
+    # M[b, j] counts word ``words[j]`` in bag ``b``, so the bag sums are
+    # ``M @ center[words]`` and each word's gradient is ``M.T @ grad_bag``.
+    words, column = np.unique(flat_words, return_inverse=True)
+    bag_matrix = csr_array(
+        (np.ones(flat_words.size), column, offsets),
+        shape=(dst.shape[0], words.size),
+    )
+    bag = bag_matrix @ center[words]                             # (B, d)
 
     x_j = context[dst]
     x_k = context[neg]
@@ -175,10 +185,8 @@ def sgns_step_bow(
         )
     )
 
-    # d(bag)/d(x_w) = identity for every word in the bag: scatter the bag
-    # gradient to each constituent word.
-    grad_per_word = np.repeat(grad_bag, lengths, axis=0)         # (sumL, d)
-    _scatter_add(center, flat_words, -lr * grad_per_word)
+    # d(bag)/d(x_w) = identity for every occurrence of a word in the bag.
+    center[words] += bag_matrix.T @ (-lr * grad_bag)
     _scatter_add(context, dst, -lr * grad_context_pos)
     _scatter_add(context, neg.reshape(-1), -lr * grad_context_neg.reshape(-1, d))
     return loss

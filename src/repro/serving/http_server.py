@@ -121,11 +121,26 @@ class _ServeHandler(TelemetryHandler):
         """
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         server = self.server_ref
+        # Body bytes left unread would parse as the next request line on
+        # this keep-alive connection: bodies turned away unread are drained
+        # when their length is known and within the cap, and otherwise the
+        # reply closes the connection.
+        try:
+            length = self._content_length()
+        except BadRequest:
+            length = None
+        closing = {"Connection": "close"} if length is None else {}
         if path not in ("/v1/predict", "/v1/neighbors"):
-            self._respond_json(404, {"error": f"no such endpoint: {path}"})
+            self._discard_body(length)
+            self._respond_json(
+                404, {"error": f"no such endpoint: {path}"}, headers=closing
+            )
             return
         if not server.accepting:
-            self._respond_json(503, {"error": "server is draining"})
+            self._discard_body(length)
+            self._respond_json(
+                503, {"error": "server is draining"}, headers=closing
+            )
             return
         ctx = server.new_request_context(
             path, self.headers.get(REQUEST_ID_HEADER)
@@ -136,7 +151,7 @@ class _ServeHandler(TelemetryHandler):
             status, payload = self._handle_query(path, ctx)
         finally:
             server._exit_request()
-        headers = None
+        headers = {}
         if ctx is not None:
             if status != 200:
                 payload = dict(payload)
@@ -147,6 +162,7 @@ class _ServeHandler(TelemetryHandler):
                     f"{ctx.queue_wait_seconds * 1e3:.3f}"
                 ),
             }
+        headers.update(closing)
         server.finalize_request(
             ctx,
             status,
@@ -197,8 +213,9 @@ class _ServeHandler(TelemetryHandler):
         server.telemetry.heartbeat()
         return 200, result
 
-    def _read_json_body(self):
-        """Read and parse the request body; malformed input is a 400."""
+    def _content_length(self) -> int:
+        """The body size from ``Content-Length``; a missing, invalid or
+        over-the-cap value is a 400."""
         length_header = self.headers.get("Content-Length")
         try:
             length = int(length_header)
@@ -209,7 +226,16 @@ class _ServeHandler(TelemetryHandler):
                 f"request body must be 0..{_MAX_BODY_BYTES} bytes, "
                 f"got {length}"
             )
-        raw = self.rfile.read(length)
+        return length
+
+    def _discard_body(self, length: int | None) -> None:
+        """Read and drop a body of known ``length`` (``None``: leave it)."""
+        if length:
+            self.rfile.read(length)
+
+    def _read_json_body(self):
+        """Read and parse the request body; malformed input is a 400."""
+        raw = self.rfile.read(self._content_length())
         try:
             return json.loads(raw)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.embedding import sgns_batch_loss, sgns_step, sgns_step_bow, sigmoid
+from repro.embedding.sgns import _scatter_add
 
 
 def init(n=10, d=8, seed=0):
@@ -158,6 +159,76 @@ class TestSgnsStepBow:
         )
         assert np.isfinite(loss)
         assert loss > 0
+
+
+def reference_sgns_step_bow(center, context, flat_words, offsets, dst, neg, lr):
+    """The segment formulation of the BOW step: ``reduceat`` bag sums, the
+    bag gradient repeated per word, sort+``reduceat`` scatter-adds."""
+    d = center.shape[1]
+    bag = np.add.reduceat(center[flat_words], offsets[:-1], axis=0)
+    x_j = context[dst]
+    x_k = context[neg]
+    pos_score = sigmoid(np.einsum("bd,bd->b", bag, x_j))
+    neg_score = sigmoid(np.einsum("bkd,bd->bk", x_k, bag))
+    g_pos = (1.0 - pos_score)[:, None]
+    g_neg = neg_score[:, :, None]
+    grad_bag = -g_pos * x_j + np.einsum("bkd->bd", g_neg * x_k)
+    loss = float(
+        np.mean(
+            -np.log(np.clip(pos_score, 1e-12, None))
+            - np.log(np.clip(1.0 - neg_score, 1e-12, None)).sum(axis=1)
+        )
+    )
+    grad_per_word = np.repeat(grad_bag, np.diff(offsets), axis=0)
+    _scatter_add(center, flat_words, -lr * grad_per_word)
+    _scatter_add(context, dst, -lr * (-g_pos * bag))
+    _scatter_add(
+        context, neg.reshape(-1), -lr * (g_neg * bag[:, None, :]).reshape(-1, d)
+    )
+    return loss
+
+
+class TestBowMatchesSegmentReference:
+    """The sparse bag-matrix kernel against the segment formulation."""
+
+    @staticmethod
+    def both(flat, offsets, dst, neg, seed, n=12, lr=0.3):
+        rng = np.random.default_rng(seed)
+        center = rng.normal(0, 0.5, size=(n, 5))
+        context = rng.normal(0, 0.5, size=(n, 5))
+        ref_c, ref_x = center.copy(), context.copy()
+        loss = sgns_step_bow(center, context, flat, offsets, dst, neg, lr=lr)
+        ref_loss = reference_sgns_step_bow(
+            ref_c, ref_x, flat, offsets, dst, neg, lr=lr
+        )
+        np.testing.assert_allclose(center, ref_c, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(context, ref_x, rtol=0, atol=1e-12)
+        return loss, ref_loss
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_repeated_and_shared_words(self, seed):
+        # Word 3 twice in bag 0, word 5 in bags 0, 1 and 3, word 1 twice in
+        # bag 2; dst and negatives repeat across the batch too.
+        flat = np.asarray([3, 5, 3, 5, 0, 1, 1, 7, 5, 2])
+        offsets = np.asarray([0, 3, 5, 7, 9, 10])
+        dst = np.asarray([9, 10, 9, 11, 10])
+        neg = np.asarray([[8, 10], [11, 8], [8, 8], [10, 9], [11, 11]])
+        loss, ref_loss = self.both(flat, offsets, dst, neg, seed)
+        assert loss == ref_loss
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_long_bags(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        lengths = rng.integers(1, 15, size=40)
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        flat = rng.integers(0, 30, size=offsets[-1])
+        dst = rng.integers(30, 40, size=40)
+        neg = rng.integers(30, 40, size=(40, 3))
+        loss, ref_loss = self.both(flat, offsets, dst, neg, seed, n=40, lr=0.05)
+        # From four rows on, reduceat groups its additions differently from
+        # the left-to-right bag-matrix product, so the bag sums (and hence
+        # the loss) may differ in the last bit.
+        assert loss == pytest.approx(ref_loss, rel=1e-14)
 
 
 class TestGradientCheck:

@@ -4,7 +4,8 @@ Covers the serving parity contract end to end (coalesced HTTP responses
 identical to direct QueryEngine execution, including degenerate queries),
 concurrent clients, structured 400s for malformed bodies, the telemetry
 surface on the same socket, drain-on-shutdown, and the wire contract that
-keeps keep-alive clients off the 40 ms delayed-ACK timer.
+keeps keep-alive clients off the 40 ms delayed-ACK timer and in step with
+the server when a body is turned away unread.
 """
 
 from __future__ import annotations
@@ -21,7 +22,11 @@ import urllib.request
 import pytest
 
 from repro.serving import QueryServer
-from repro.serving.http_server import _QueryHTTPServer, _ServeHandler
+from repro.serving.http_server import (
+    _MAX_BODY_BYTES,
+    _QueryHTTPServer,
+    _ServeHandler,
+)
 from repro.serving.service import QueryService
 from repro.utils.metrics import MetricsRegistry
 
@@ -422,3 +427,91 @@ class TestWire:
             finally:
                 conn.close()
         assert statistics.median(latencies) * 1e3 < 20.0
+
+
+def _raw_post(conn, path, headers, body=b""):
+    """POST with exactly ``headers`` (no computed Content-Length)."""
+    conn.putrequest("POST", path, skip_accept_encoding=True)
+    for name, value in headers.items():
+        conn.putheader(name, value)
+    conn.endheaders(body)
+    response = conn.getresponse()
+    response.read()
+    return response
+
+
+def _next_request_status(conn):
+    conn.request(
+        "POST",
+        "/v1/neighbors",
+        body=json.dumps(NEIGHBOR_BODIES[0]).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+    )
+    response = conn.getresponse()
+    response.read()
+    return response.status
+
+
+class TestKeepAliveAfterUnreadBody:
+    """A POST turned away before its body is read must not leave the body
+    on the connection, where it would parse as the next request line."""
+
+    BODY = json.dumps(NEIGHBOR_BODIES[1]).encode("utf-8")
+
+    def test_404_drains_the_body(self, server):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port)
+        try:
+            response = _raw_post(
+                conn, "/v1/nope", {"Content-Length": str(len(self.BODY))},
+                self.BODY,
+            )
+            assert response.status == 404
+            assert response.getheader("Connection") is None
+            sock = conn.sock
+            assert _next_request_status(conn) == 200
+            assert conn.sock is sock  # same keep-alive connection
+        finally:
+            conn.close()
+
+    def test_503_drains_the_body(self, tiny_actor):
+        with QueryServer(tiny_actor, port=0) as server:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port)
+            try:
+                server._accepting = False
+                response = _raw_post(
+                    conn, "/v1/neighbors",
+                    {"Content-Length": str(len(self.BODY))}, self.BODY,
+                )
+                server._accepting = True
+                assert response.status == 503
+                assert response.getheader("Connection") is None
+                sock = conn.sock
+                assert _next_request_status(conn) == 200
+                assert conn.sock is sock
+            finally:
+                conn.close()
+
+    def test_oversized_content_length_closes(self, server):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port)
+        try:
+            response = _raw_post(
+                conn, "/v1/neighbors",
+                {"Content-Length": str(_MAX_BODY_BYTES + 1)}, self.BODY,
+            )
+            assert response.status == 400
+            assert response.getheader("Connection") == "close"
+            assert _next_request_status(conn) == 200
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("length", [None, "many", "-5"])
+    def test_missing_or_invalid_content_length_closes(self, server, length):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port)
+        headers = {} if length is None else {"Content-Length": length}
+        try:
+            response = _raw_post(conn, "/v1/neighbors", headers, self.BODY)
+            assert response.status == 400
+            assert response.getheader("Connection") == "close"
+            assert _next_request_status(conn) == 200
+        finally:
+            conn.close()
