@@ -91,7 +91,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         "keep the best (cuts scheduler noise)",
     )
     parser.add_argument("--max-batch", type=int, default=64)
-    parser.add_argument("--batch-window-ms", type=float, default=1.0)
     parser.add_argument(
         "--parity-sample", type=int, default=80,
         help="how many requests the exact-parity phase replays over HTTP",
@@ -191,7 +190,6 @@ def main(argv: list[str] | None = None) -> int:
         model,
         port=0,
         max_batch=args.max_batch,
-        batch_window_ms=args.batch_window_ms,
     ) as server:
         http_report = LoadGenerator(
             events,
@@ -202,19 +200,15 @@ def main(argv: list[str] | None = None) -> int:
 
     # ---- Phase 2: dispatch-layer throughput, saturated -----------------
     # The per-request path executes each request as its own engine call;
-    # the coalesced path parks callers in the batcher and rides the
-    # vectorized batch dispatch.  Saturation (more threads than batch
-    # capacity) is where coalescing pays: batches cut on size, not on the
-    # linger window.
+    # the coalesced path submits through the batcher, where callers that
+    # arrive during a dispatch queue up and ride the next vectorized
+    # batch.  Saturation (more threads than batch capacity) is where
+    # coalescing pays: batches cut on max_batch.
     # Interleaved (per-request, coalesced) trial pairs: the gate takes
     # the best per-trial *ratio*, so noise that slows the whole machine
     # for one trial hits both paths and cancels, instead of pairing one
     # path's best trial against the other's worst.
-    batcher = RequestBatcher(
-        service.dispatch,
-        max_batch=args.max_batch,
-        max_wait_ms=args.batch_window_ms,
-    )
+    batcher = RequestBatcher(service.dispatch, max_batch=args.max_batch)
     trial_pairs: list[tuple[float, float]] = []
     try:
         for _ in range(args.throughput_trials):
@@ -258,7 +252,6 @@ def main(argv: list[str] | None = None) -> int:
         model,
         port=0,
         max_batch=args.max_batch,
-        batch_window_ms=args.batch_window_ms,
     ) as server:
         transport = http_transport(server.url)
         results: list = [None] * len(sample)
@@ -306,12 +299,10 @@ def main(argv: list[str] | None = None) -> int:
         model,
         port=0,
         max_batch=args.max_batch,
-        batch_window_ms=args.batch_window_ms,
     ) as traced_server, QueryServer(
         model,
         port=0,
         max_batch=args.max_batch,
-        batch_window_ms=args.batch_window_ms,
         trace_requests=False,
     ) as untraced_server:
         traced_execute = _server_executor(traced_server)

@@ -324,12 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest coalesced batch dispatched to the engine at once",
     )
     serve.add_argument(
-        "--batch-window-ms", type=float, default=2.0, metavar="MS",
-        help="upper bound on how long a request lingers for "
-        "co-travellers; it lingers only while other requests are still "
-        "arriving (default: 2.0)",
-    )
-    serve.add_argument(
         "--ann", action="store_true",
         help="serve /v1/neighbors from IVF ANN indexes (built per "
         "modality at startup) instead of exact dense scans; /v1/predict "
@@ -344,11 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--ann-nprobe", type=int, default=8, metavar="N",
         help="lists probed per neighbor query (default: 8; nprobe == "
         "nlist is exact coverage — see docs/operations.md for tuning)",
-    )
-    serve.add_argument(
-        "--no-coalesce", action="store_true",
-        help="disable request coalescing: every request becomes its own "
-        "engine call (the naive path the latency bench compares against)",
     )
     serve.add_argument(
         "--stale-after", type=float, metavar="SECONDS",
@@ -948,8 +937,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_batch=args.max_batch,
-        batch_window_ms=args.batch_window_ms,
-        coalesce=not args.no_coalesce,
         logger=logger,
         stale_after=args.stale_after,
         ann=args.ann,
@@ -983,7 +970,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             logger=logger,
         )
         manager.start()
-    mode = "coalesced" if server.coalesce else "per-request"
+    notes = ""
     if args.ann:
         status = server.engine.ann_status()
         built = ", ".join(
@@ -991,14 +978,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"in {s['build_seconds']:.3f}s"
             for m, s in sorted(status["indexes"].items())
         )
-        mode += f"; ann nprobe={status['nprobe']} ({built})"
+        notes += f"ann nprobe={status['nprobe']} ({built}); "
     if manager is not None:
-        mode += (
-            f"; lifecycle epoch {initial_epoch} watching "
-            f"{args.watch_bundles} every {args.poll_interval:g}s"
+        notes += (
+            f"lifecycle epoch {initial_epoch} watching "
+            f"{args.watch_bundles} every {args.poll_interval:g}s; "
         )
     print(
-        f"serving {model_desc} on {server.url} ({mode}; "
+        f"serving {model_desc} on {server.url} ({notes}"
         "POST /v1/predict /v1/neighbors, GET /metrics /healthz /varz "
         "/debug/requests)",
         flush=True,

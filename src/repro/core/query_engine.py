@@ -169,8 +169,9 @@ class QueryEngine:
         "score": ...}`` (plus non-duration observations under a
         ``values`` sub-dict, e.g. the ANN probed fraction) for every
         engine call made by the *calling thread* inside the block.  The
-        sink is thread-local, so concurrent dispatches — the coalescing
-        dispatcher and a non-coalesced handler — never mix stages.
+        sink is thread-local, so dispatches on different threads — say,
+        a batch leader and an in-process caller of the engine — never
+        mix stages.
         Nests safely: the previous sink is restored on exit.
         """
         sink: dict = {}

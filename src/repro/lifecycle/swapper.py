@@ -15,10 +15,10 @@ so they can never mix rows across stores), and
 :meth:`~repro.serving.http_server.QueryServer.swap_model` replaces the
 server's ``service`` reference in a single assignment.  Every dispatch
 — the batcher trampoline reads ``server.service`` exactly once per
-batch, the non-coalesced path once per request — therefore executes
-entirely against one generation.  Request *validation* is
-model-independent (pure shape checks), so a request validated against
-the outgoing service and dispatched on the incoming one is harmless.
+batch — therefore executes entirely against one generation.  Request
+*validation* is model-independent (pure shape checks), so a request
+validated against the outgoing service and dispatched on the incoming
+one is harmless.
 """
 
 from __future__ import annotations

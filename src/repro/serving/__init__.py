@@ -7,9 +7,10 @@ The serving layer turns a fitted model (usually a read-only
   daemon: ``POST /v1/predict`` + ``POST /v1/neighbors`` plus the live
   ``/metrics`` / ``/healthz`` / ``/varz`` / ``/debug/requests``
   observability surface;
-* :class:`~repro.serving.batcher.RequestBatcher` — coalesces concurrent
-  single queries into the engine's vectorized batch path with exact
-  per-request parity;
+* :class:`~repro.serving.batcher.RequestBatcher` — leader/follower
+  batching on the handler threads: a lone query dispatches at once on
+  its own thread, and queries arriving during a dispatch coalesce into
+  the engine's vectorized batch path with exact per-request parity;
 * :class:`~repro.serving.service.QueryService` — validation
   (:class:`~repro.serving.service.BadRequest` → structured 400s) and
   batched dispatch;

@@ -27,16 +27,13 @@ rode plus the lifecycle epoch it executed against.  An
 :class:`~repro.utils.slo.SLOEngine` evaluates availability and latency
 burn rates on every health scrape.
 
-Concurrent single-query requests are coalesced: handler threads park in
-the :class:`~repro.serving.batcher.RequestBatcher` and execute as one
-vectorized :class:`~repro.serving.service.QueryService` dispatch, with
-exact parity to per-request execution.  The server counts admitted
-requests whose bodies are still being read and validated, and checks its
-listen backlog for connections not yet accepted; the batcher lingers for
-either, for at most ``batch_window_ms``, and dispatches at once when none
-is on its way.  Malformed bodies are *client* errors: they
-return structured 400 payloads and count under ``serve.bad_requests``
-rather than killing the handler thread with a 500.
+Every query runs through the :class:`~repro.serving.batcher.RequestBatcher`:
+a handler thread that finds the engine idle dispatches its own request at
+once, and requests arriving during that dispatch queue up and execute as
+one vectorized :class:`~repro.serving.service.QueryService` dispatch,
+with exact parity to per-request execution.  Malformed bodies are
+*client* errors: they return structured 400 payloads and count under
+``serve.bad_requests`` rather than killing the handler thread with a 500.
 
 Each response leaves in one socket write with ``TCP_NODELAY`` set (see
 :class:`~repro.utils.telemetry_server.TelemetryHandler`).  Headers and
@@ -45,18 +42,15 @@ client's delayed ACK, up to 40 ms per response on a keep-alive
 connection.
 
 Shutdown drains: :meth:`QueryServer.stop` stops accepting new work (late
-requests get a 503), waits for in-flight handlers to finish, then drains
-and joins the batcher.
+requests get a 503), waits for in-flight handlers to finish, then closes
+the batcher once its queue has drained.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import select
 import threading
 import time
-from contextlib import nullcontext
 from http.server import ThreadingHTTPServer
 
 from repro.core.query_engine import QueryEngine
@@ -80,8 +74,6 @@ from repro.utils.slo import (
 from repro.utils.telemetry_server import TelemetryHandler, TelemetryServer
 
 __all__ = ["QueryServer"]
-
-_MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
 class _QueryHTTPServer(ThreadingHTTPServer):
@@ -127,7 +119,7 @@ class _ServeHandler(TelemetryHandler):
         # reply closes the connection.
         try:
             length = self._content_length()
-        except BadRequest:
+        except ValueError:
             length = None
         closing = {"Connection": "close"} if length is None else {}
         if path not in ("/v1/predict", "/v1/neighbors"):
@@ -179,24 +171,23 @@ class _ServeHandler(TelemetryHandler):
         metrics = server.metrics
         with metrics.time("serve.request"):
             validate_start = time.perf_counter()
-            with server.arriving():
-                try:
-                    body = self._read_json_body()
-                    if path == "/v1/predict":
-                        request = server.service.validate_predict(body)
-                    else:
-                        request = server.service.validate_neighbors(body)
-                except BadRequest as exc:
-                    metrics.counter("serve.bad_requests").inc()
-                    server.logger.warning(
-                        "serve.bad_request", path=path, error=str(exc)
+            try:
+                body = self._read_json_body()
+                if path == "/v1/predict":
+                    request = server.service.validate_predict(body)
+                else:
+                    request = server.service.validate_neighbors(body)
+            except BadRequest as exc:
+                metrics.counter("serve.bad_requests").inc()
+                server.logger.warning(
+                    "serve.bad_request", path=path, error=str(exc)
+                )
+                return 400, exc.to_payload()
+            finally:
+                if ctx is not None:
+                    ctx.stage(
+                        "validate", time.perf_counter() - validate_start
                     )
-                    return 400, exc.to_payload()
-                finally:
-                    if ctx is not None:
-                        ctx.stage(
-                            "validate", time.perf_counter() - validate_start
-                        )
             try:
                 result = server.execute(request, ctx)
             except BatcherClosed:
@@ -213,29 +204,13 @@ class _ServeHandler(TelemetryHandler):
         server.telemetry.heartbeat()
         return 200, result
 
-    def _content_length(self) -> int:
-        """The body size from ``Content-Length``; a missing, invalid or
-        over-the-cap value is a 400."""
-        length_header = self.headers.get("Content-Length")
-        try:
-            length = int(length_header)
-        except (TypeError, ValueError):
-            raise BadRequest("Content-Length header is required") from None
-        if length < 0 or length > _MAX_BODY_BYTES:
-            raise BadRequest(
-                f"request body must be 0..{_MAX_BODY_BYTES} bytes, "
-                f"got {length}"
-            )
-        return length
-
-    def _discard_body(self, length: int | None) -> None:
-        """Read and drop a body of known ``length`` (``None``: leave it)."""
-        if length:
-            self.rfile.read(length)
-
     def _read_json_body(self):
         """Read and parse the request body; malformed input is a 400."""
-        raw = self.rfile.read(self._content_length())
+        try:
+            length = self._content_length()
+        except ValueError as exc:
+            raise BadRequest(str(exc)) from None
+        raw = self.rfile.read(length)
         try:
             return json.loads(raw)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -264,15 +239,6 @@ class QueryServer:
         Bind address; loopback by default.
     max_batch:
         Largest coalesced batch handed to the engine at once.
-    batch_window_ms:
-        The longest a request lingers for co-travellers before dispatch.
-        It lingers only while other admitted requests are still being
-        read and validated or new connections wait to be accepted; a
-        request with nobody behind it dispatches at once.
-    coalesce:
-        ``False`` disables the batcher entirely — every request becomes
-        its own engine call (the naive path the latency bench compares
-        against).
     ann:
         ``True`` serves ``/v1/neighbors`` from per-modality IVF indexes
         (:class:`~repro.ann.engine.IndexedQueryEngine`) built eagerly at
@@ -320,8 +286,6 @@ class QueryServer:
         port: int = 0,
         host: str = "127.0.0.1",
         max_batch: int = 64,
-        batch_window_ms: float = 2.0,
-        coalesce: bool = True,
         ann: bool = False,
         ann_nlist: int = 256,
         ann_nprobe: int = 8,
@@ -350,9 +314,7 @@ class QueryServer:
         self.service = QueryService(
             model, engine=engine, metrics=self.metrics, logger=self.logger
         )
-        self.coalesce = bool(coalesce)
         self.max_batch = int(max_batch)
-        self.batch_window_ms = float(batch_window_ms)
         self.batcher: RequestBatcher | None = None
         self.trace_ring = (
             TraceRing(int(trace_ring_size), slow_ms=float(slow_request_ms))
@@ -385,7 +347,6 @@ class QueryServer:
             )
         self.active_epoch = 0
         self._lifecycle_state = None
-        self._direct_ids = itertools.count(1)
         self.telemetry = TelemetryServer(
             self.metrics,
             host=host,
@@ -411,17 +372,14 @@ class QueryServer:
         """Bind the socket, start the batcher, serve from a daemon thread."""
         if self._httpd is not None:
             raise RuntimeError("query server already started")
-        if self.coalesce:
-            # The batcher gets the trampoline, not a bound dispatch:
-            # reading self.service per batch is what lets swap_model
-            # retarget in-flight coalescing without restarting it.
-            self.batcher = RequestBatcher(
-                self._dispatch_batch,
-                max_batch=self.max_batch,
-                max_wait_ms=self.batch_window_ms,
-                metrics=self.metrics,
-                arrivals=self._connections_waiting,
-            )
+        # The batcher gets the trampoline, not a bound dispatch: reading
+        # self.service per batch is what lets swap_model retarget
+        # in-flight coalescing without restarting it.
+        self.batcher = RequestBatcher(
+            self._dispatch_batch,
+            max_batch=self.max_batch,
+            metrics=self.metrics,
+        )
         self.warm_engine(self.engine)
         handler = type(
             "BoundServeHandler",
@@ -439,12 +397,7 @@ class QueryServer:
             daemon=True,
         )
         self._thread.start()
-        self.logger.info(
-            "serve.started",
-            host=self.host,
-            port=self.port,
-            coalesce=self.coalesce,
-        )
+        self.logger.info("serve.started", host=self.host, port=self.port)
         return self
 
     def stop(self, *, drain_timeout: float = 10.0) -> None:
@@ -542,9 +495,9 @@ class QueryServer:
         """Atomically retarget serving onto a new model generation.
 
         The single ``self.service`` rebind is the linearization point:
-        the batcher trampoline and the direct path read it exactly once
-        per dispatch (atomic under the GIL), so every batch executes
-        entirely against one generation — no torn reads.  ``model`` /
+        the batcher trampoline reads it exactly once per dispatch (atomic
+        under the GIL), so every batch executes entirely against one
+        generation — no torn reads.  ``model`` /
         ``engine`` attrs and the slow-query log follow for telemetry and
         later swaps; requests already validated against the old service
         dispatch fine on the new one (validation is model-independent).
@@ -689,51 +642,17 @@ class QueryServer:
             self.trace_ring.record_batch(entry)
 
     def execute(self, request, ctx=None) -> dict:
-        """Run one typed request through the coalesced (or direct) path.
+        """Run one typed request through the batcher.
 
-        ``ctx`` (optional) is the request's trace context: the coalesced
-        path hands it to the batcher, the direct path stamps a
-        synthetic batch-of-one (``d<n>`` ids, zero queue wait) so trace
-        entries link to exactly one batch span either way.
+        ``ctx`` (optional) is the request's trace context, handed to the
+        batcher so the trace entry links to the batch span it rode.
+        Raises :class:`~repro.serving.batcher.BatcherClosed` when the
+        server is not running.
         """
         batcher = self.batcher
-        if batcher is not None:
-            return batcher.submit(request, ctx=ctx)
-        if ctx is not None and self.trace_ring is not None:
-            ctx.begin_batch(
-                f"d{next(self._direct_ids)}", 1, queue_wait=0.0
-            )
-            return self._traced_dispatch(self.service, [request], [ctx])[0]
-        return self.service.dispatch([request])[0]
-
-    def arriving(self):
-        """Context marking one request on its way to the batcher.
-
-        Handlers hold it while reading and validating a body, so the
-        batcher keeps a batch open only while more requests are coming;
-        a no-op without a batcher.
-        """
-        batcher = self.batcher
-        return batcher.arriving() if batcher is not None else nullcontext()
-
-    def _connections_waiting(self) -> bool:
-        """Whether new connections wait in the listen backlog.
-
-        Their requests are on their way to the batcher, but no handler
-        thread has counted them in :meth:`arriving` yet: the accept loop
-        takes one connection at a time, so in a burst of new connections
-        most of them sit here.
-        """
-        httpd = self._httpd
-        if httpd is None:
-            return False
-        try:
-            readable, _writable, _failed = select.select(
-                [httpd.socket], [], [], 0
-            )
-        except (OSError, ValueError):  # socket closed during shutdown
-            return False
-        return bool(readable)
+        if batcher is None:
+            raise BatcherClosed("query server is not running")
+        return batcher.submit(request, ctx=ctx)
 
     def _enter_request(self) -> None:
         """Count one handler thread into the in-flight drain barrier."""
@@ -754,7 +673,6 @@ class QueryServer:
             "serving": {
                 "accepting": self._accepting,
                 "inflight": self._inflight,
-                "coalesce": self.coalesce,
                 "ann": self.ann,
                 "batcher_depth": batcher.depth if batcher is not None else 0,
                 "trace_requests": ring is not None,

@@ -52,6 +52,9 @@ __all__ = ["TelemetryHandler", "TelemetryServer"]
 # healthz status severity order; providers may report any of these.
 _STATUS_RANK = {"ok": 0, "stale": 1, "alerting": 2}
 
+# Largest request body a handler reads (or drains to keep a connection).
+_MAX_BODY_BYTES = 8 * 1024 * 1024
+
 
 class TelemetryHandler(BaseHTTPRequestHandler):
     """Serves the telemetry ``GET`` endpoints, each response in one write.
@@ -75,14 +78,51 @@ class TelemetryHandler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        """Route ``/metrics`` / ``/healthz`` / ``/varz``; 404 otherwise."""
+        """Route ``/metrics`` / ``/healthz`` / ``/varz``; 404 otherwise.
+
+        A GET body is never used, but left unread it would parse as the
+        next request line on a keep-alive connection: it is drained when
+        its length is known and within the cap, and otherwise the reply
+        closes the connection.
+        """
+        if "Content-Length" in self.headers:
+            try:
+                length = self._content_length()
+            except ValueError:
+                length = None
+        else:
+            length = None if "Transfer-Encoding" in self.headers else 0
+        self._discard_body(length)
+        closing = {"Connection": "close"} if length is None else None
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         rendered = self.telemetry.respond_get(path)
         if rendered is None:
-            self._respond_json(404, {"error": f"no such endpoint: {path}"})
+            self._respond_json(
+                404, {"error": f"no such endpoint: {path}"}, headers=closing
+            )
             return
         status, body, content_type = rendered
-        self._respond(status, body, content_type)
+        self._respond(status, body, content_type, closing)
+
+    def _content_length(self) -> int:
+        """The body size from ``Content-Length``; a missing, invalid or
+        over-the-cap value raises :class:`ValueError`."""
+        length_header = self.headers.get("Content-Length")
+        try:
+            length = int(length_header)
+        except (TypeError, ValueError):
+            raise ValueError("Content-Length header is required") from None
+        if length < 0 or length > _MAX_BODY_BYTES:
+            raise ValueError(
+                f"request body must be 0..{_MAX_BODY_BYTES} bytes, "
+                f"got {length}"
+            )
+        return length
+
+    def _discard_body(self, length: int | None) -> None:
+        """Read and drop a body of known ``length`` (``None``: leave it)."""
+        if length:
+            self.rfile.read(length)
 
     def _respond(
         self,

@@ -1,4 +1,10 @@
-"""Tests for the request batcher: coalescing, fan-back, errors, drain."""
+"""Tests for the request batcher: leader/follower coalescing, fan-back,
+errors, timeouts and drain.
+
+The leader/follower tests hold a dispatch on a gate and watch
+:attr:`RequestBatcher.depth`, so every batch they assert on is formed
+deterministically instead of by racing threads against a clock.
+"""
 
 from __future__ import annotations
 
@@ -9,12 +15,103 @@ import time
 import pytest
 
 from repro.serving.batcher import BatcherClosed, RequestBatcher
+from repro.serving.reqtrace import RequestContext
 from repro.utils.metrics import MetricsRegistry
 
 
 def echo_dispatch(batch):
     """A dispatch function that tags each item with its batch size."""
     return [{"item": item, "batch_size": len(batch)} for item in batch]
+
+
+def wait_for(predicate, timeout: float = 10.0) -> None:
+    """Poll ``predicate`` until it holds; fail the test after ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            pytest.fail("condition not reached in time")
+        time.sleep(0.001)
+
+
+class GatedDispatch:
+    """Echo dispatch that records every batch and can hold or fail calls.
+
+    ``hold`` names 1-based call numbers that block until
+    ``release(n)``; ``entered(n)`` waits until call ``n`` has started.
+    ``fail`` names calls that raise after any hold.
+    """
+
+    def __init__(self, hold=(1,), fail=()) -> None:
+        self.batches: list[list] = []
+        self.threads: list[int] = []
+        self._entered = {n: threading.Event() for n in hold}
+        self._release = {n: threading.Event() for n in hold}
+        self._fail = set(fail)
+        self._lock = threading.Lock()
+
+    def __call__(self, batch):
+        with self._lock:
+            self.batches.append(list(batch))
+            self.threads.append(threading.get_ident())
+            call = len(self.batches)
+        if call in self._entered:
+            self._entered[call].set()
+            assert self._release[call].wait(10.0)
+        if call in self._fail:
+            raise RuntimeError(f"dispatch {call} failed")
+        return echo_dispatch(batch)
+
+    def entered(self, call: int) -> None:
+        assert self._entered[call].wait(10.0)
+
+    def release(self, call: int) -> None:
+        self._release[call].set()
+
+
+class Caller(threading.Thread):
+    """One ``submit`` on its own thread, keeping its result or error."""
+
+    def __init__(self, batcher, item, **kwargs) -> None:
+        super().__init__(daemon=True)
+        self.batcher = batcher
+        self.item = item
+        self.kwargs = kwargs
+        self.result = None
+        self.error: BaseException | None = None
+        self.ident_seen: int | None = None
+
+    def run(self) -> None:
+        self.ident_seen = threading.get_ident()
+        try:
+            self.result = self.batcher.submit(self.item, **self.kwargs)
+        except BaseException as exc:  # noqa: BLE001 - inspected by tests
+            self.error = exc
+
+
+def start_leader(batcher, dispatch, item="lead", **kwargs) -> Caller:
+    """Start a caller and wait until its dispatch (the first) is held."""
+    leader = Caller(batcher, item, **kwargs)
+    leader.start()
+    dispatch.entered(1)
+    return leader
+
+
+def queue_followers(batcher, items, **kwargs) -> list[Caller]:
+    """Queue one caller per item, in order, behind a running dispatch."""
+    callers: list[Caller] = []
+    base = batcher.depth
+    for item in items:
+        caller = Caller(batcher, item, **kwargs)
+        caller.start()
+        wait_for(lambda: batcher.depth == base + len(callers) + 1)
+        callers.append(caller)
+    return callers
+
+
+def join_all(callers) -> None:
+    for caller in callers:
+        caller.join(timeout=10.0)
+        assert not caller.is_alive()
 
 
 class TestCoalescing:
@@ -24,66 +121,33 @@ class TestCoalescing:
         assert result == {"item": "a", "batch_size": 1}
 
     def test_concurrent_requests_share_a_batch(self):
-        """Requests parked within the window dispatch as one batch."""
-        release = threading.Event()
-
-        def gated_dispatch(batch):
-            return echo_dispatch(batch)
-
-        results = {}
-        with RequestBatcher(
-            gated_dispatch, max_batch=64, max_wait_ms=100.0
-        ) as batcher:
-
-            def client(name):
-                release.wait()
-                results[name] = batcher.submit(name)
-
-            threads = [
-                threading.Thread(target=client, args=(f"q{i}",))
-                for i in range(8)
-            ]
-            for t in threads:
-                t.start()
-            release.set()
-            for t in threads:
-                t.join()
-        assert set(results) == {f"q{i}" for i in range(8)}
-        for name, result in results.items():
-            assert result["item"] == name
-        # With an ample window at least one dispatch must have coalesced.
-        assert max(r["batch_size"] for r in results.values()) > 1
+        """Requests queued behind a running dispatch ride one batch."""
+        dispatch = GatedDispatch()
+        with RequestBatcher(dispatch, max_batch=64) as batcher:
+            leader = start_leader(batcher, dispatch)
+            followers = queue_followers(batcher, [f"q{i}" for i in range(8)])
+            dispatch.release(1)
+            join_all([leader, *followers])
+        assert leader.result == {"item": "lead", "batch_size": 1}
+        for i, caller in enumerate(followers):
+            assert caller.result == {"item": f"q{i}", "batch_size": 8}
 
     def test_max_batch_cuts_dispatches(self):
         """No dispatch ever exceeds max_batch even under a pile-up."""
-        sizes = []
-        lock = threading.Lock()
-
-        def recording_dispatch(batch):
-            with lock:
-                sizes.append(len(batch))
-            return list(batch)
-
-        with RequestBatcher(
-            recording_dispatch, max_batch=3, max_wait_ms=50.0
-        ) as batcher:
-            threads = [
-                threading.Thread(target=batcher.submit, args=(i,))
-                for i in range(10)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        assert sum(sizes) == 10
-        assert max(sizes) <= 3
+        dispatch = GatedDispatch()
+        with RequestBatcher(dispatch, max_batch=3) as batcher:
+            leader = start_leader(batcher, dispatch)
+            followers = queue_followers(batcher, list(range(7)))
+            dispatch.release(1)
+            join_all([leader, *followers])
+        assert [len(batch) for batch in dispatch.batches] == [1, 3, 3, 1]
+        assert dispatch.batches[1:] == [[0, 1, 2], [3, 4, 5], [6]]
 
     def test_order_preserved_within_batch(self):
         """Fan-back pairs result i with submitter i, not arbitrarily."""
-        with RequestBatcher(
-            lambda batch: [item * 10 for item in batch],
-            max_wait_ms=50.0,
-        ) as batcher:
+        with RequestBatcher(lambda batch: [item * 10 for item in batch]) as (
+            batcher
+        ):
             results = {}
             threads = [
                 threading.Thread(
@@ -99,91 +163,136 @@ class TestCoalescing:
 
     def test_metrics_recorded(self):
         registry = MetricsRegistry()
-        with RequestBatcher(echo_dispatch, metrics=registry) as batcher:
+        dispatch = GatedDispatch()
+        with RequestBatcher(dispatch, metrics=registry) as batcher:
+            leader = start_leader(batcher, dispatch)
+            followers = queue_followers(batcher, ["a", "b"])
+            dispatch.release(1)
+            join_all([leader, *followers])
+        assert registry.counter("serve.batches").value == 2
+        assert registry.counter("serve.coalesced_batches").value == 1
+        assert registry.histogram("serve.batch_size").max == 2
+        assert registry.histogram("serve.batch_wait_seconds").count == 2
+
+
+class TestLeaderFollower:
+    def test_lone_submit_runs_on_the_calling_thread(self):
+        dispatch = GatedDispatch(hold=())
+        with RequestBatcher(dispatch) as batcher:
+            assert batcher.submit("a") == {"item": "a", "batch_size": 1}
+        assert dispatch.threads == [threading.get_ident()]
+
+    def test_no_dispatcher_thread(self):
+        before = set(threading.enumerate())
+        with RequestBatcher(echo_dispatch) as batcher:
             batcher.submit("a")
-        assert registry.counter("serve.batches").value >= 1
-
-
-class TestArrivalAwareWait:
-    def test_lone_request_skips_the_window(self):
-        """Nobody on the way: a lone submit dispatches at once."""
-        with RequestBatcher(
-            echo_dispatch, max_wait_ms=500.0, arrivals=lambda: False
-        ) as batcher:
-            start = time.perf_counter()
-            result = batcher.submit("a")
-            elapsed = time.perf_counter() - start
-        assert result == {"item": "a", "batch_size": 1}
-        assert elapsed < 0.25
-
-    def test_announced_arrivals_still_coalesce(self):
-        """While a caller is on its way, concurrent submits share a batch."""
-        release = threading.Event()
-        results = {}
-        with RequestBatcher(
-            echo_dispatch, max_wait_ms=200.0, arrivals=lambda: False
-        ) as batcher:
-
-            def client(name):
-                release.wait()
-                results[name] = batcher.submit(name)
-
-            threads = [
-                threading.Thread(target=client, args=(f"q{i}",))
-                for i in range(8)
-            ]
-            with batcher.arriving():
-                for t in threads:
-                    t.start()
-                release.set()
-                for t in threads:
-                    t.join(timeout=10.0)
-        assert not any(t.is_alive() for t in threads)
-        assert set(results) == {f"q{i}" for i in range(8)}
-        assert max(r["batch_size"] for r in results.values()) > 1
-
-    def test_turned_back_arrival_releases_the_batch(self):
-        """An announced caller that never submits ends the wait early."""
-        results = {}
-        with RequestBatcher(
-            echo_dispatch, max_wait_ms=5000.0, arrivals=lambda: False
-        ) as batcher:
-            thread = threading.Thread(
-                target=lambda: results.update(a=batcher.submit("a"))
+            started = set(threading.enumerate()) - before
+            assert not started
+            assert not any(
+                t.name.startswith("repro-batcher-")
+                for t in threading.enumerate()
             )
-            start = time.perf_counter()
-            with batcher.arriving():
-                thread.start()
-                time.sleep(0.05)
-            thread.join(timeout=10.0)
-            elapsed = time.perf_counter() - start
-        assert not thread.is_alive()
-        assert results["a"] == {"item": "a", "batch_size": 1}
-        assert elapsed < 2.5
 
-    def test_arrival_count_survives_thread_churn(self):
-        """Racing arrivals leave the count at zero: no lost update.
+    def test_followers_ride_the_next_dispatch_in_order(self):
+        """The promoted head leads one batch of every queued follower."""
+        dispatch = GatedDispatch()
+        with RequestBatcher(dispatch) as batcher:
+            leader = start_leader(batcher, dispatch)
+            followers = queue_followers(batcher, [f"f{i}" for i in range(5)])
+            assert batcher.depth == 5
+            dispatch.release(1)
+            join_all([leader, *followers])
+            assert batcher.depth == 0
+        assert dispatch.batches == [["lead"], [f"f{i}" for i in range(5)]]
+        # The leader ran the first batch; the head follower led the next.
+        assert dispatch.threads == [
+            leader.ident_seen,
+            followers[0].ident_seen,
+        ]
 
-        A leaked count would make every later lone request wait out the
-        whole window, so the final lone submit would take a second.
+    def test_leader_queue_wait_is_near_zero(self):
+        """A leader dispatches at once; a follower's wait spans the hold."""
+        dispatch = GatedDispatch()
+        lead_ctx = RequestContext("lead", "/test")
+        follow_ctx = RequestContext("follow", "/test")
+        with RequestBatcher(dispatch) as batcher:
+            leader = start_leader(batcher, dispatch, ctx=lead_ctx)
+            (follower,) = queue_followers(batcher, ["f"], ctx=follow_ctx)
+            time.sleep(0.05)
+            dispatch.release(1)
+            join_all([leader, follower])
+        assert lead_ctx.queue_wait_seconds < 0.005
+        assert follow_ctx.queue_wait_seconds >= 0.05
+        assert lead_ctx.batch_id != follow_ctx.batch_id
+
+    def test_raising_dispatch_reaches_its_batch_and_queue_is_served(self):
+        dispatch = GatedDispatch(hold=(1, 2), fail=(2,))
+        with RequestBatcher(dispatch) as batcher:
+            leader = start_leader(batcher, dispatch)
+            doomed = queue_followers(batcher, ["a", "b"])
+            dispatch.release(1)
+            dispatch.entered(2)  # "a" leads ["a", "b"], held, then raises
+            (survivor,) = queue_followers(batcher, ["c"])
+            dispatch.release(2)
+            join_all([leader, *doomed, survivor])
+        assert leader.result == {"item": "lead", "batch_size": 1}
+        for caller in doomed:
+            assert isinstance(caller.error, RuntimeError)
+            assert str(caller.error) == "dispatch 2 failed"
+        assert survivor.error is None
+        assert survivor.result == {"item": "c", "batch_size": 1}
+        assert dispatch.batches == [["lead"], ["a", "b"], ["c"]]
+
+    def test_timed_out_follower_leaves_no_stranded_work(self):
+        """A queued follower that times out takes its item with it."""
+        dispatch = GatedDispatch()
+        with RequestBatcher(dispatch) as batcher:
+            leader = start_leader(batcher, dispatch)
+            (impatient,) = queue_followers(batcher, ["gone"], timeout=0.5)
+            (patient,) = queue_followers(batcher, ["stay"])
+            impatient.join(timeout=10.0)
+            assert isinstance(impatient.error, TimeoutError)
+            assert batcher.depth == 1
+            dispatch.release(1)
+            join_all([leader, patient])
+            assert patient.result == {"item": "stay", "batch_size": 1}
+            assert batcher.submit("later") == {
+                "item": "later",
+                "batch_size": 1,
+            }
+        assert ["gone"] not in dispatch.batches
+        assert dispatch.batches == [["lead"], ["stay"], ["later"]]
+
+    def test_thread_churn_strands_no_work(self):
+        """Racing submits, some timing out, leave no caller stranded.
+
+        A lost promotion would leave a queued caller with no leader, so
+        it would hang until its timeout and the final lone submit would
+        find the batcher still marked busy.
         """
         n_threads, n_rounds = 16, 40
         results = []
         lock = threading.Lock()
+
+        def dispatch(batch):
+            time.sleep(0.0002)
+            return list(batch)
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with RequestBatcher(
-                echo_dispatch, max_wait_ms=1000.0, arrivals=lambda: False
-            ) as batcher:
+            with RequestBatcher(dispatch, max_batch=4) as batcher:
 
                 def client(t):
                     for i in range(n_rounds):
-                        with batcher.arriving():
-                            item = (t, i)
-                        result = batcher.submit(item)
+                        item = (t, i)
+                        timeout = 0.0001 if (t + i) % 7 == 0 else 30.0
+                        try:
+                            got = batcher.submit(item, timeout=timeout)
+                        except TimeoutError:
+                            continue
                         with lock:
-                            results.append((item, result["item"]))
+                            results.append((item, got))
 
                 threads = [
                     threading.Thread(target=client, args=(t,))
@@ -194,32 +303,21 @@ class TestArrivalAwareWait:
                 for t in threads:
                     t.join(timeout=60.0)
                 assert not any(t.is_alive() for t in threads)
+                assert batcher.depth == 0
                 start = time.perf_counter()
-                batcher.submit("last")
+                assert batcher.submit("last") == "last"
                 elapsed = time.perf_counter() - start
         finally:
             sys.setswitchinterval(interval)
-        assert len(results) == n_threads * n_rounds
+        patient = sum(
+            1
+            for t in range(n_threads)
+            for i in range(n_rounds)
+            if (t + i) % 7 != 0
+        )
+        assert len(results) >= patient
         assert all(sent == got for sent, got in results)
         assert elapsed < 0.5
-
-    def test_arrivals_probe_keeps_the_batch_open(self):
-        """Callers not yet counted, reported by arrivals(), are waited for."""
-        with RequestBatcher(
-            echo_dispatch, max_wait_ms=100.0, arrivals=lambda: True
-        ) as batcher:
-            start = time.perf_counter()
-            batcher.submit("a")
-            elapsed = time.perf_counter() - start
-        assert elapsed >= 0.09
-
-    def test_time_window_without_arrival_signal(self):
-        """The default batcher still lingers the whole window."""
-        with RequestBatcher(echo_dispatch, max_wait_ms=100.0) as batcher:
-            start = time.perf_counter()
-            batcher.submit("a")
-            elapsed = time.perf_counter() - start
-        assert elapsed >= 0.09
 
 
 class TestErrors:
@@ -232,7 +330,7 @@ class TestErrors:
                 batcher.submit("a")
 
     def test_dispatch_survives_for_later_requests(self):
-        """One poisoned batch must not kill the dispatcher thread."""
+        """One poisoned batch must not wedge the batcher."""
         calls = {"n": 0}
 
         def flaky(batch):
@@ -253,26 +351,27 @@ class TestErrors:
                 for item in batch
             ]
 
-        with RequestBatcher(selective, max_wait_ms=50.0) as batcher:
-            outcomes = {}
+        gate = threading.Event()
+        entered = threading.Event()
 
-            def client(item):
-                try:
-                    outcomes[item] = batcher.submit(item)
-                except ValueError as exc:
-                    outcomes[item] = f"raised:{exc}"
+        def held_selective(batch):
+            if batch == ["lead"]:
+                entered.set()
+                assert gate.wait(10.0)
+            return selective(batch)
 
-            threads = [
-                threading.Thread(target=client, args=(item,))
-                for item in ("ok1", "bad", "ok2")
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+        with RequestBatcher(held_selective) as batcher:
+            leader = Caller(batcher, "lead")
+            leader.start()
+            assert entered.wait(10.0)
+            callers = queue_followers(batcher, ["ok1", "bad", "ok2"])
+            gate.set()
+            join_all([leader, *callers])
+        outcomes = {c.item: c.result or c.error for c in callers}
         assert outcomes["ok1"] == "ok1"
         assert outcomes["ok2"] == "ok2"
-        assert outcomes["bad"] == "raised:bad item"
+        assert isinstance(outcomes["bad"], ValueError)
+        assert str(outcomes["bad"]) == "bad item"
 
     def test_length_mismatch_is_an_error(self):
         with RequestBatcher(lambda batch: []) as batcher:
@@ -280,18 +379,17 @@ class TestErrors:
                 batcher.submit("a")
 
     def test_submit_timeout(self):
-        def stuck(batch):
-            time.sleep(10.0)
-            return list(batch)
-
-        batcher = RequestBatcher(stuck)
+        """A follower whose batch never comes raises TimeoutError."""
+        dispatch = GatedDispatch()
+        batcher = RequestBatcher(dispatch)
+        leader = start_leader(batcher, dispatch)
         try:
             with pytest.raises(TimeoutError):
                 batcher.submit("a", timeout=0.05)
         finally:
-            # The dispatcher thread is daemonic and still sleeping; don't
-            # join it, just mark the batcher closed for new work.
-            batcher._closed = True
+            dispatch.release(1)
+            leader.join(timeout=10.0)
+            batcher.close()
 
 
 class TestClose:
@@ -302,28 +400,27 @@ class TestClose:
             batcher.submit("a")
 
     def test_close_drains_queued_work(self):
-        """Requests parked before close() still get their results."""
-        started = threading.Event()
-        release = threading.Event()
-
-        def slow_dispatch(batch):
-            started.set()
-            release.wait(timeout=5.0)
-            return echo_dispatch(batch)
-
-        batcher = RequestBatcher(slow_dispatch, max_wait_ms=1.0)
-        results = {}
-        t = threading.Thread(
-            target=lambda: results.update({"a": batcher.submit("a")})
-        )
-        t.start()
-        assert started.wait(timeout=5.0)
+        """close() with a held leader and queued followers delivers every
+        result before it returns; later submits are refused."""
+        dispatch = GatedDispatch()
+        batcher = RequestBatcher(dispatch)
+        leader = start_leader(batcher, dispatch)
+        followers = queue_followers(batcher, ["a", "b", "c"])
         closer = threading.Thread(target=batcher.close)
         closer.start()
-        release.set()
-        t.join(timeout=5.0)
-        closer.join(timeout=5.0)
-        assert results["a"]["item"] == "a"
+        closer.join(timeout=0.1)
+        assert closer.is_alive()  # still waiting on the held leader
+        with pytest.raises(BatcherClosed):
+            batcher.submit("late")
+        dispatch.release(1)
+        closer.join(timeout=10.0)
+        assert not closer.is_alive()
+        join_all([leader, *followers])
+        assert leader.result == {"item": "lead", "batch_size": 1}
+        for caller in followers:
+            assert caller.result == {"item": caller.item, "batch_size": 3}
+        with pytest.raises(BatcherClosed):
+            batcher.submit("after")
 
     def test_close_is_idempotent(self):
         batcher = RequestBatcher(echo_dispatch)

@@ -22,13 +22,10 @@ import urllib.request
 import pytest
 
 from repro.serving import QueryServer
-from repro.serving.http_server import (
-    _MAX_BODY_BYTES,
-    _QueryHTTPServer,
-    _ServeHandler,
-)
+from repro.serving.http_server import _ServeHandler
 from repro.serving.service import QueryService
 from repro.utils.metrics import MetricsRegistry
+from repro.utils.telemetry_server import _MAX_BODY_BYTES
 
 
 def _post(url: str, body, *, raw: bytes | None = None, timeout=30):
@@ -141,9 +138,13 @@ class TestServingParity:
             assert payload == direct.dispatch([request])[0]
 
     def test_concurrent_clients_all_get_their_own_answer(
-        self, server, tiny_actor
+        self, server, tiny_actor, hold_dispatch
     ):
-        """A coalesced burst returns per-client results with exact parity."""
+        """A coalesced burst returns per-client results with exact parity.
+
+        The first request's dispatch is held until every other client
+        has queued behind it, so the burst always coalesces.
+        """
         direct = QueryService(tiny_actor, metrics=MetricsRegistry())
         bodies = [
             {
@@ -158,6 +159,7 @@ class TestServingParity:
         ]
         results: list = [None] * len(bodies)
         barrier = threading.Barrier(len(bodies))
+        held = hold_dispatch(server)
 
         def client(i):
             barrier.wait()
@@ -169,17 +171,39 @@ class TestServingParity:
         ]
         for t in threads:
             t.start()
+        held.wait_queued(len(bodies) - 1)
+        held.release()
         for t in threads:
             t.join()
         for (status, payload), want in zip(results, expected):
             assert status == 200
             assert payload == want
 
-    def test_coalescing_actually_happened(self, server):
-        """The burst above must have produced at least one >1 batch."""
+    def test_coalescing_actually_happened(self, server, hold_dispatch):
+        """Requests queued behind a running dispatch ride one >1 batch."""
+        coalesced = server.metrics.counter("serve.coalesced_batches")
+        before = coalesced.value
+        held = hold_dispatch(server)
+        threads = [
+            threading.Thread(
+                target=_post,
+                args=(f"{server.url}/v1/neighbors", NEIGHBOR_BODIES[0]),
+            )
+            for _ in range(3)
+        ]
+        threads[0].start()
+        held.wait_queued(0)
+        for t in threads[1:]:
+            t.start()
+        held.wait_queued(2)
+        held.release()
+        for t in threads:
+            t.join(timeout=30.0)
+            assert not t.is_alive()
         histogram = server.metrics.histogram("serve.batch_size")
         assert histogram.count > 0
         assert histogram.max > 1
+        assert coalesced.value == before + 1
 
 
 class TestBadRequests:
@@ -230,24 +254,11 @@ class TestTelemetrySurface:
         payload = json.loads(text)
         assert payload["status"] == "ok"
         assert payload["serving"]["accepting"] is True
-        assert payload["serving"]["coalesce"] is True
 
     def test_varz_includes_batcher_depth(self, server):
         status, text = _get(f"{server.url}/varz")
         assert status == 200
         assert "batcher_depth" in json.loads(text)["serving"]
-
-
-class TestNonCoalescedPath:
-    def test_coalesce_false_serves_identically(self, tiny_actor):
-        direct = QueryService(tiny_actor, metrics=MetricsRegistry())
-        with QueryServer(tiny_actor, port=0, coalesce=False) as server:
-            for body in PREDICT_BODIES:
-                status, payload = _post(f"{server.url}/v1/predict", body)
-                assert status == 200
-                request = direct.validate_predict(body)
-                assert payload == direct.dispatch([request])[0]
-            assert server.batcher is None
 
 
 class TestDrain:
@@ -264,32 +275,46 @@ class TestDrain:
         server.stop()
         assert not server.running
 
-    def test_inflight_requests_complete_during_drain(self, tiny_actor):
+    def test_inflight_requests_complete_during_drain(
+        self, tiny_actor, hold_dispatch
+    ):
         """stop() waits for parked requests instead of dropping them."""
-        server = QueryServer(
-            tiny_actor, port=0, batch_window_ms=150.0, max_batch=64
-        ).start()
+        server = QueryServer(tiny_actor, port=0, max_batch=64).start()
+        held = hold_dispatch(server)
         url = server.url
         results = {}
 
-        def client():
-            results["response"] = _post(
+        def client(name):
+            results[name] = _post(
                 f"{url}/v1/neighbors", {"modality": "word", "time": 21.0}
             )
 
-        t = threading.Thread(target=client)
-        # The batcher lingers only while another request is on its way:
-        # announce one so the client's request parks in the batch window,
-        # then begin the drain while it is still in flight.
-        with server.arriving():
-            t.start()
-            deadline = threading.Event()
-            deadline.wait(0.05)
-            server.stop()
-        t.join(timeout=10.0)
-        status, payload = results["response"]
-        assert status == 200
-        assert len(payload["neighbors"]) == 10
+        # The first request leads and is held mid-dispatch; the second
+        # parks behind it in the batcher queue.  Begin the drain while
+        # both are in flight, then let the leader finish.
+        clients = [
+            threading.Thread(target=client, args=(name,))
+            for name in ("leader", "parked")
+        ]
+        clients[0].start()
+        held.wait_queued(0)
+        clients[1].start()
+        held.wait_queued(1)
+        stopper = threading.Thread(target=server.stop)
+        stopper.start()
+        deadline = time.monotonic() + 10.0
+        while server.accepting and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert stopper.is_alive()  # draining, held by the in-flight pair
+        held.release()
+        for t in (*clients, stopper):
+            t.join(timeout=10.0)
+            assert not t.is_alive()
+        assert not server.running
+        for name in ("leader", "parked"):
+            status, payload = results[name]
+            assert status == 200
+            assert len(payload["neighbors"]) == 10
 
     def test_stop_is_idempotent(self, tiny_actor):
         server = QueryServer(tiny_actor, port=0).start()
@@ -368,36 +393,6 @@ class TestWire:
             assert head.startswith(b"HTTP/1.1 ")
             assert f"Content-Length: {len(body)}".encode() in head
             assert payload == body
-
-    def test_listen_backlog_counts_as_arriving(
-        self, tiny_actor, monkeypatch
-    ):
-        """A connection not yet accepted is a request on its way."""
-        gate = threading.Event()
-        original = _QueryHTTPServer.process_request
-
-        def held(httpd, request, client_address):
-            gate.wait(10.0)
-            original(httpd, request, client_address)
-
-        monkeypatch.setattr(_QueryHTTPServer, "process_request", held)
-        with QueryServer(tiny_actor, port=0) as server:
-            assert not server._connections_waiting()
-            address = ("127.0.0.1", server.port)
-            # The accept loop takes the first connection and blocks in
-            # process_request, so the second one stays in the backlog.
-            with socket.create_connection(address), socket.create_connection(
-                address
-            ):
-                deadline = time.monotonic() + 10.0
-                while (
-                    not server._connections_waiting()
-                    and time.monotonic() < deadline
-                ):
-                    time.sleep(0.01)
-                waiting = server._connections_waiting()
-                gate.set()
-        assert waiting
 
     def test_keepalive_requests_do_not_stall(self, tiny_actor):
         """Back-to-back keep-alive POSTs stay far below the 40 ms timer.
@@ -511,6 +506,60 @@ class TestKeepAliveAfterUnreadBody:
         try:
             response = _raw_post(conn, "/v1/neighbors", headers, self.BODY)
             assert response.status == 400
+            assert response.getheader("Connection") == "close"
+            assert _next_request_status(conn) == 200
+        finally:
+            conn.close()
+
+
+class TestKeepAliveAfterGetBody:
+    """A GET carrying a body must not leave it on the connection either."""
+
+    def test_get_with_body_then_post_on_same_connection(self, server):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port)
+        try:
+            conn.putrequest("GET", "/healthz", skip_accept_encoding=True)
+            conn.putheader("Content-Length", "8")
+            conn.endheaders(b"12345678")
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200
+            assert response.getheader("Connection") is None
+            sock = conn.sock
+            conn.request(
+                "POST",
+                "/v1/neighbors",
+                body=json.dumps(NEIGHBOR_BODIES[0]).encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+            assert response.status == 200
+            assert conn.sock is sock  # same keep-alive connection
+        finally:
+            conn.close()
+        direct = QueryService(server.model, metrics=MetricsRegistry())
+        request = direct.validate_neighbors(NEIGHBOR_BODIES[0])
+        assert payload == direct.dispatch([request])[0]
+
+    @pytest.mark.parametrize(
+        "headers",
+        [
+            {"Content-Length": str(_MAX_BODY_BYTES + 1)},
+            {"Content-Length": "many"},
+            {"Transfer-Encoding": "chunked"},
+        ],
+    )
+    def test_get_with_unreadable_body_closes(self, server, headers):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port)
+        try:
+            conn.putrequest("GET", "/healthz", skip_accept_encoding=True)
+            for name, value in headers.items():
+                conn.putheader(name, value)
+            conn.endheaders(b"8\r\n12345678\r\n0\r\n\r\n")
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200
             assert response.getheader("Connection") == "close"
             assert _next_request_status(conn) == 200
         finally:

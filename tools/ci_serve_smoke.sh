@@ -74,6 +74,8 @@ curl -sf "$BASE/metrics" -o "$WORK/metrics.prom"
 grep -q 'repro_serve_requests_total' "$WORK/metrics.prom"
 grep -q 'repro_serve_bad_requests_total' "$WORK/metrics.prom"
 grep -q 'repro_serve_responses_total' "$WORK/metrics.prom"
+# The loadgen burst was served through the batcher.
+grep -q 'repro_serve_batches_total' "$WORK/metrics.prom"
 grep -q 'repro_slo_availability_compliance' "$WORK/metrics.prom"
 
 # Live tail-latency attribution against the running server.
@@ -95,7 +97,6 @@ assert report["p99_ms"] > 0, report
 health = json.loads((work / "healthz.json").read_text())
 assert health["status"] == "ok", health
 assert health["serving"]["accepting"] is True, health
-assert health["serving"]["coalesce"] is True, health
 assert health["serving"]["trace_requests"] is True, health
 assert "availability" in health["slo"], health
 assert "latency" in health["slo"], health
